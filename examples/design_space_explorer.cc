@@ -227,7 +227,7 @@ main(int argc, char **argv)
         MachineConfig machine = machines.back();
         EventLog log(events);
         Simulator simulator(machine);
-        simulator.attachEventLog(&log);
+        simulator.attachObs(obs::ObsSink{.eventLog = &log});
         SyntheticSource source(profile, instructions, seed);
         simulator.run(source);
         std::cout << "\nlast " << log.size() << " events of the "

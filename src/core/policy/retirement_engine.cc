@@ -49,10 +49,9 @@ RetirementEngine::cachePolicyShortcuts()
 {
     scan_or_check_ = store_.naiveScan() || cross_check_;
     sole_occupancy_ = triggers_.size() == 1
-        ? dynamic_cast<OccupancyTrigger *>(triggers_.front().get())
+        ? triggers_.front()->asOccupancy()
         : nullptr;
-    list_head_victim_ =
-        dynamic_cast<ListHeadSelector *>(&selector_) != nullptr;
+    list_head_victim_ = selector_.picksListHead();
 }
 
 void

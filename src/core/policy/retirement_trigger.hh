@@ -20,6 +20,8 @@
 namespace wbsim
 {
 
+class OccupancyTrigger;
+
 /**
  * When the retirement engine should start a background write.
  * WBSIM_DEVIRT_OK: the engine's fast paths monomorphise the common
@@ -57,6 +59,10 @@ class WBSIM_DEVIRT_OK RetirementTrigger
      * must be conservative: never idle beats wrongly idle.
      */
     virtual bool idle() const = 0;
+
+    /** This trigger as the retire-at-N kind, or nullptr: lets the
+     *  engine monomorphise a sole occupancy trigger. */
+    virtual OccupancyTrigger *asOccupancy() { return nullptr; }
 
     /** Deep copy for snapshot cloneRebound. */
     virtual std::unique_ptr<RetirementTrigger> clone() const = 0;
@@ -100,6 +106,7 @@ class OccupancyTrigger final : public RetirementTrigger
     void noteRetirementStart(Cycle) override {}
     void noteReplayEnd(unsigned, Cycle) override {}
     bool idle() const override { return occupancy_since_ == kNoCycle; }
+    OccupancyTrigger *asOccupancy() override { return this; }
 
     std::unique_ptr<RetirementTrigger>
     clone() const override

@@ -48,6 +48,10 @@ class WBSIM_DEVIRT_OK VictimSelector
      */
     virtual bool tracksEntries() const { return false; }
 
+    /** True for list-head selection, which the engine's fast path
+     *  serves without calling pick(). */
+    virtual bool picksListHead() const { return false; }
+
     /** The entry at @p index was just attached or grew by a merge. */
     virtual void noteAttachOrMerge(const EntryStore &store, int index);
 
@@ -76,6 +80,7 @@ class ListHeadSelector final : public VictimSelector
         return order_ == EntryOrder::Allocation ? "fifo" : "lru-evict";
     }
 
+    bool picksListHead() const override { return true; }
     int pick(const EntryStore &store) const override;
     int naivePick(const EntryStore &store) const override;
     std::unique_ptr<VictimSelector> clone() const override;

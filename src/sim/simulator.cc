@@ -7,7 +7,6 @@
 #include "util/bits.hh"
 #include "core/write_cache.hh"
 #include "obs/metrics.hh"
-#include "trace/materialized_trace.hh"
 #include "util/logging.hh"
 
 namespace wbsim
@@ -20,8 +19,8 @@ Simulator::Simulator(const MachineConfig &config)
       l1i_(config.perfectICache ? L1ICache() : L1ICache(config.l1i)),
       l2_(config.perfectL2 ? L2Cache() : L2Cache(config.l2)),
       memory_(config.memLatency),
-      batch_runs_ok_(config.perfectICache
-                     && config.bubbleProbability <= 0.0)
+      plain_issue_(config.perfectICache
+                   && config.bubbleProbability <= 0.0)
 {
     config_.validate();
     auto line = static_cast<unsigned>(config_.l1d.lineBytes);
@@ -174,7 +173,7 @@ Simulator::l2Write(Addr base, unsigned valid_words, unsigned total_words,
     return duration;
 }
 
-void
+inline void
 Simulator::advanceIssue()
 {
     if (++issue_slot_ >= config_.issueWidth) {
@@ -363,8 +362,48 @@ Simulator::doLoad(Addr addr, unsigned size)
 }
 
 void
-Simulator::step(const TraceRecord &record)
+Simulator::doBarrier()
 {
+    // §2.2: ordering instructions drain the buffer; the CPU stalls
+    // until every buffered write is in L2.
+    ++barriers_;
+    Cycle done = buffer_->drainBelow(1, cycle_);
+    note(SimEventKind::Barrier, 0, done - cycle_);
+    if (done > cycle_) {
+        Cycle wait = done - cycle_;
+        barrier_stall_cycles_ += wait;
+        if (metrics_ != nullptr)
+            metrics_->sample(m_stall_barrier_, wait);
+        if (timeline_ != nullptr)
+            timeline_->add(obs::Channel::BarrierStall, cycle_, wait);
+        cycle_ = done;
+    }
+}
+
+inline void
+Simulator::chargeNonMemRun(Count count, Addr pc_before)
+{
+    if (plain_issue_) {
+        instructions_ += count;
+        Count slots = issue_slot_ + count;
+        cycle_ += slots / config_.issueWidth;
+        issue_slot_ = static_cast<unsigned>(slots % config_.issueWidth);
+        return;
+    }
+    for (Count j = 1; j <= count; ++j) {
+        ++instructions_;
+        advanceIssue();
+        if (!config_.perfectICache)
+            fetch(pc_before + 4 * j);
+    }
+}
+
+inline void
+Simulator::runItem(const TraceRun &item)
+{
+    const TraceRecord &record = item.rec;
+    if (item.nonMemBefore != 0)
+        chargeNonMemRun(item.nonMemBefore, item.pcBefore);
     ++instructions_;
     advanceIssue();
     if (!config_.perfectICache)
@@ -385,116 +424,29 @@ Simulator::step(const TraceRecord &record)
 }
 
 void
-Simulator::doBarrier()
+Simulator::step(const TraceRecord &record)
 {
-    // §2.2: ordering instructions drain the buffer; the CPU stalls
-    // until every buffered write is in L2.
-    ++barriers_;
-    Cycle done = buffer_->drainBelow(1, cycle_);
-    note(SimEventKind::Barrier, 0, done - cycle_);
-    if (done > cycle_) {
-        Cycle wait = done - cycle_;
-        barrier_stall_cycles_ += wait;
-        if (metrics_ != nullptr)
-            metrics_->sample(m_stall_barrier_, wait);
-        if (timeline_ != nullptr)
-            timeline_->add(obs::Channel::BarrierStall, cycle_, wait);
-        cycle_ = done;
-    }
+    runItem(TraceRun{0, record});
 }
 
-void
-Simulator::runBatch(const TraceRecord *batch, std::size_t count)
+Count
+Simulator::consume(TraceSource &source, Count count)
 {
-    if (!batch_runs_ok_) {
-        // Real I-cache or bubble RNG: every record carries per-record
-        // work beyond issue arithmetic, so run decoding buys nothing.
-        for (std::size_t i = 0; i < count; ++i)
-            step(batch[i]);
-        return;
-    }
-    std::size_t i = 0;
-    while (i < count) {
-        const Op op = batch[i].op;
-        std::size_t j = i + 1;
-        while (j < count && batch[j].op == op)
-            ++j;
-        switch (op) {
-          case Op::NonMem:
-            skipNonMemRun(j - i);
+    // Run items pulled from the source per refill.
+    constexpr std::size_t kFeedBatch = 256;
+    TraceRun items[kFeedBatch];
+    Count done = 0;
+    while (done < count) {
+        std::size_t got = source.nextRuns(items, kFeedBatch,
+                                          count - done);
+        if (got == 0)
             break;
-          case Op::Load:
-            for (std::size_t k = i; k < j; ++k) {
-                ++instructions_;
-                advanceIssueFast();
-                doLoad(batch[k].addr, batch[k].size);
-            }
-            break;
-          case Op::Store:
-            for (std::size_t k = i; k < j; ++k) {
-                ++instructions_;
-                advanceIssueFast();
-                doStore(batch[k].addr, batch[k].size);
-            }
-            break;
-          case Op::Barrier:
-            for (std::size_t k = i; k < j; ++k) {
-                ++instructions_;
-                advanceIssueFast();
-                doBarrier();
-            }
-            break;
-        }
-        i = j;
-    }
-}
-
-namespace
-{
-
-/// Records (or run items) pulled from a TraceSource per batch refill.
-constexpr std::size_t kFeedBatch = 256;
-
-} // namespace
-
-void
-Simulator::runFromRuns(MaterializedCursor &cursor)
-{
-    TraceRun runs[kFeedBatch];
-    std::size_t got;
-    while ((got = cursor.nextRuns(runs, kFeedBatch)) > 0) {
         for (std::size_t i = 0; i < got; ++i) {
-            const TraceRun &item = runs[i];
-            switch (item.rec.op) {
-              case Op::NonMem:
-                // Carrier item: the record itself is one more plain
-                // NonMem instruction; fold it into the run charge.
-                skipNonMemRun(item.nonMemBefore + Count{1});
-                break;
-              case Op::Load:
-                if (item.nonMemBefore != 0)
-                    skipNonMemRun(item.nonMemBefore);
-                ++instructions_;
-                advanceIssueFast();
-                doLoad(item.rec.addr, item.rec.size);
-                break;
-              case Op::Store:
-                if (item.nonMemBefore != 0)
-                    skipNonMemRun(item.nonMemBefore);
-                ++instructions_;
-                advanceIssueFast();
-                doStore(item.rec.addr, item.rec.size);
-                break;
-              case Op::Barrier:
-                if (item.nonMemBefore != 0)
-                    skipNonMemRun(item.nonMemBefore);
-                ++instructions_;
-                advanceIssueFast();
-                doBarrier();
-                break;
-            }
+            runItem(items[i]);
+            done += items[i].nonMemBefore + Count{1};
         }
     }
+    return done;
 }
 
 void
@@ -567,55 +519,11 @@ Simulator::results(const std::string &workload) const
 }
 
 SimResults
-Simulator::run(TraceSource &source, Count max_instructions)
+Simulator::run(TraceSource &source)
 {
-    // Materialized traces feed run items (run-length counts plus one
-    // record) straight from the encoding, skipping both the filler
-    // materialization and runBatch's op boundary scan. Limited runs
-    // keep the record path: a run item is not splittable at an
-    // instruction quota.
-    if (batch_runs_ok_ && max_instructions == 0) {
-        if (auto *cursor = dynamic_cast<MaterializedCursor *>(&source)) {
-            runFromRuns(*cursor);
-            drain();
-            return results(source.name());
-        }
-    }
-
-    TraceRecord batch[kFeedBatch];
-    for (;;) {
-        std::size_t want = kFeedBatch;
-        if (max_instructions != 0) {
-            Count left = max_instructions - instructions_;
-            if (left == 0)
-                break;
-            want = std::min<Count>(left, kFeedBatch);
-        }
-        std::size_t got = source.nextBatch(batch, want);
-        runBatch(batch, got);
-        if (got < want)
-            break;
-    }
+    consume(source, kNoRecordBudget);
     drain();
     return results(source.name());
-}
-
-Count
-Simulator::consume(TraceSource &source, Count count)
-{
-    TraceRecord batch[kFeedBatch];
-    Count done = 0;
-    while (done < count) {
-        std::size_t want =
-            static_cast<std::size_t>(std::min<Count>(count - done,
-                                                     kFeedBatch));
-        std::size_t got = source.nextBatch(batch, want);
-        runBatch(batch, got);
-        done += got;
-        if (got < want)
-            break;
-    }
-    return done;
 }
 
 } // namespace wbsim

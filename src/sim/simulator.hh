@@ -31,8 +31,6 @@
 namespace wbsim
 {
 
-class MaterializedCursor;
-
 /**
  * A bit-exact capture of one Simulator's complete mutable state:
  * tag stores, write-buffer contents and in-flight transactions, the
@@ -78,23 +76,25 @@ class Simulator
     explicit Simulator(const MachineConfig &config);
 
     /**
-     * Consume @p source to exhaustion (or @p max_instructions) and
-     * return the aggregated results. The write buffer is drained at
-     * the end so all traffic is accounted. Records are pulled in
-     * flat batches (TraceSource::nextBatch), so the per-record feed
-     * cost is a copy/decode rather than a virtual call.
+     * Consume @p source to exhaustion, drain the write buffer so all
+     * traffic is accounted, and return the aggregated results.
      */
-    SimResults run(TraceSource &source, Count max_instructions = 0);
+    SimResults run(TraceSource &source);
 
     /**
      * Execute exactly @p count records (fewer only if the source
-     * ends), batched like run() but without draining or producing
-     * results — the warmup half of a measured run.
+     * ends), without draining or producing results: the warmup half
+     * of a measured run, and the one feed loop run() is built on.
+     * Records arrive as run items (TraceSource::nextRuns) under a
+     * record budget of what is left, so a source that stores NonMem
+     * runs natively stops exactly at @p count, mid-run if need be,
+     * and a later consume() or run() resumes there.
      * @return records consumed.
      */
     Count consume(TraceSource &source, Count count);
 
-    /** Execute a single record (exposed for fine-grained tests). */
+    /** Execute a single record: the run item {0, @p record}. The
+     *  multi-core scheduler feeds cores this way. */
     void step(const TraceRecord &record);
 
     /**
@@ -107,7 +107,7 @@ class Simulator
     /**
      * Adopt the state in @p snap, which must come from a simulator
      * with an identical MachineConfig (checked by fingerprint). The
-     * attached event log, if any, is kept.
+     * attached observability sink, if any, is kept.
      */
     void restore(const SimSnapshot &snap);
 
@@ -127,13 +127,6 @@ class Simulator
     void drain();
 
     /**
-     * Attach a debug event log (nullptr detaches). The simulator
-     * records loads, stores, stalls, hazards and write transfers;
-     * the caller owns the log.
-     */
-    void attachEventLog(EventLog *log) { event_log_ = log; }
-
-    /**
      * Route all of this core's L2 traffic through @p bus as
      * requester @p coreId (nullptr detaches; the default standalone
      * port is the paper's single-core machine, bit for bit).
@@ -149,10 +142,12 @@ class Simulator
     /**
      * Attach an observability sink: any combination of a metrics
      * registry, a cycle-attribution timeline, and an event log (all
-     * optional, caller-owned). Null members detach the corresponding
-     * channel; a default-constructed sink detaches everything and
-     * every publish site reverts to a no-op. Survives restore():
-     * the restored port and buffer are re-attached automatically.
+     * optional, caller-owned; the event log records loads, stores,
+     * stalls, hazards and write transfers). Null members detach the
+     * corresponding channel; a default-constructed sink detaches
+     * everything and every publish site reverts to a no-op.
+     * Survives restore(): the restored port and buffer are
+     * re-attached automatically.
      */
     void attachObs(const obs::ObsSink &sink);
 
@@ -177,11 +172,11 @@ class Simulator
     MainMemory memory_;
     std::unique_ptr<StoreBuffer> buffer_;
 
-    /** Per-record work outside the op handlers is pure issue
-     *  arithmetic (perfect I-cache, no bubble RNG draws), so
-     *  runBatch may decode per-op runs and skip NonMem runs in
-     *  O(1). Fixed by the config at construction. */
-    bool batch_runs_ok_;
+    /** Per-instruction work outside the op handlers is pure issue
+     *  arithmetic (perfect I-cache, no bubble RNG draws), so a
+     *  NonMem run is charged in O(1). Fixed by the config at
+     *  construction. */
+    bool plain_issue_;
 
     Cycle cycle_ = 0;
     Cycle cycle_base_ = 0;
@@ -221,59 +216,28 @@ class Simulator
             event_log_->record(cycle_, kind, addr, a, b);
     }
 
+    /** @name The feed's per-item path, forced inline into consume()
+     *  and step(): left to its own estimate GCC outlines them into
+     *  a call per item. */
+    /// @{
     /** Charge the issue cost of one instruction. */
-    void advanceIssue();
+    [[gnu::always_inline]] void advanceIssue();
+
+    /** Execute one run item: its NonMem run, then its record. */
+    [[gnu::always_inline]] void runItem(const TraceRun &item);
 
     /**
-     * Execute @p count records decoded into per-op index runs: one
-     * `switch(op)` per run instead of per record, monomorphic inner
-     * loops per op, and an O(1) arithmetic skip for NonMem runs.
-     * The run decode applies only when the per-record path would be
-     * pure issue arithmetic (perfect I-cache, no bubbles, checked
-     * once at construction); otherwise every record goes through
-     * step()'s logic unchanged, so results are bit-identical either
-     * way.
+     * Charge a run of @p count plain NonMem instructions following
+     * the instruction at @p pc_before. With plain_issue_ the charge
+     * is O(1): the division lands cycle_ and issue_slot_ exactly
+     * where @p count advanceIssue() calls would. Otherwise each
+     * instruction issues (drawing its bubble) and fetches in turn;
+     * a run's pc values step by 4, so the j-th sits at
+     * `pc_before + 4*j`.
      */
-    void runBatch(const TraceRecord *batch, std::size_t count);
-
-    /**
-     * Feed loop over MaterializedCursor::nextRuns(): the decoder
-     * hands NonMem runs as counts (the stream's native run-prefix
-     * shape), so the batched dispatch neither materializes filler
-     * records nor re-discovers run boundaries by scanning ops — the
-     * boundary-scan branch was the single largest cost of the
-     * record-path runBatch(). Only entered when batch_runs_ok_
-     * (NonMem records are pure issue arithmetic, charged via
-     * skipNonMemRun exactly as runBatch does), so results are
-     * bit-identical to the record path.
-     */
-    void runFromRuns(MaterializedCursor &cursor);
-
-    /** advanceIssue() for the batched fast path: no bubble draw
-     *  (the path is gated on bubbleProbability <= 0). */
-    void
-    advanceIssueFast()
-    {
-        if (++issue_slot_ >= config_.issueWidth) {
-            issue_slot_ = 0;
-            ++cycle_;
-        }
-    }
-
-    /**
-     * Charge a run of @p count back-to-back NonMem instructions in
-     * O(1): the same division advanceIssueFast() performs one
-     * increment at a time, so cycle_ and issue_slot_ land exactly
-     * where @p count advanceIssueFast() calls would leave them.
-     */
-    void
-    skipNonMemRun(Count count)
-    {
-        instructions_ += count;
-        Count slots = issue_slot_ + count;
-        cycle_ += slots / config_.issueWidth;
-        issue_slot_ = static_cast<unsigned>(slots % config_.issueWidth);
-    }
+    [[gnu::always_inline]] void chargeNonMemRun(Count count,
+                                                Addr pc_before);
+    /// @}
 
     /** §2.2 ordering instruction: drain the buffer, stall the CPU. */
     void doBarrier();

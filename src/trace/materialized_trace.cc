@@ -1,10 +1,8 @@
 #include "trace/materialized_trace.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
-
-#include "util/logging.hh"
-#include "util/random.hh"
 
 namespace wbsim
 {
@@ -266,12 +264,6 @@ MaterializedTrace::append(const TraceRecord &record)
                               enc_last_pc_});
     }
 
-    fingerprint_ = hashCombine(
-        fingerprint_,
-        static_cast<std::uint64_t>(record.op)
-            | (std::uint64_t{record.size} << 8));
-    fingerprint_ = hashCombine(fingerprint_, record.addr);
-    fingerprint_ = hashCombine(fingerprint_, record.pc);
     ++size_;
 
     if (record.op == Op::NonMem && record.size == 0 && record.addr == 0
@@ -504,9 +496,10 @@ MaterializedCursor::nextBatch(TraceRecord *out, std::size_t max)
 }
 
 std::size_t
-MaterializedCursor::nextRuns(TraceRun *out, std::size_t max)
+MaterializedCursor::nextRuns(TraceRun *out, std::size_t max,
+                             Count record_budget)
 {
-    Count left = trace_->size_ - index_;
+    Count left = std::min(trace_->size_ - index_, record_budget);
     if (left == 0 || max == 0)
         return 0;
     const std::uint8_t *__restrict bytes = trace_->bytes_.data();
@@ -516,32 +509,46 @@ MaterializedCursor::nextRuns(TraceRun *out, std::size_t max)
     std::size_t offset = offset_;
     Addr last_addr = last_addr_;
     Addr last_pc = last_pc_;
+    unsigned run_left = run_left_;
+    int pending = pending_;
 
-    // Resume an item cut mid-run by an earlier nextBatch() call: the
-    // unfilled remainder of its run plus its parked record become a
-    // normal (if shortened) run item.
-    if (pending_ >= 0) {
-        TraceRun &item = dst[produced++];
-        item.nonMemBefore = run_left_;
-        last_pc += 4 * static_cast<Addr>(run_left_);
-        decodeFields(bytes, offset, last_addr, last_pc, item.rec,
-                     static_cast<std::uint8_t>(pending_));
-        consumed += run_left_ + 1;
-        run_left_ = 0;
-        pending_ = -1;
-    }
-
-    // Items never cut here: one item in, one TraceRun out, so the
-    // loop is free of the record-path's boundary bookkeeping.
+    // One item in, one TraceRun out, except where an item is cut: by
+    // an earlier nextBatch() boundary (its parked remainder resumes
+    // here as a shortened item) or by this call's record budget.
     while (produced < max && consumed < left) {
-        std::uint8_t header = bytes[offset];
-        unsigned has_run = (header >> 6) & 1u;
-        // kBytePad keeps the unconditional prefix-byte load in
-        // bounds; the mask keeps it branch-free for run-less items.
-        unsigned prefix = bytes[offset + 1] & (0u - has_run);
-        offset += 1 + has_run;
+        std::uint8_t header;
+        unsigned prefix;
+        if (pending >= 0) [[unlikely]] {
+            header = static_cast<std::uint8_t>(pending);
+            prefix = run_left;
+            pending = -1;
+            run_left = 0;
+        } else {
+            header = bytes[offset];
+            unsigned has_run = (header >> 6) & 1u;
+            // kBytePad keeps the unconditional prefix-byte load in
+            // bounds; the mask keeps it branch-free for run-less
+            // items.
+            prefix = bytes[offset + 1] & (0u - has_run);
+            offset += 1 + has_run;
+        }
         TraceRun &item = dst[produced++];
+        if (prefix >= left - consumed) [[unlikely]] {
+            // The budget ends inside the run: emit its first `take`
+            // records as a carrier item and park the rest, exactly
+            // as a nextBatch() boundary would.
+            auto take = static_cast<unsigned>(left - consumed);
+            item.nonMemBefore = take - 1;
+            item.pcBefore = last_pc;
+            last_pc += 4 * static_cast<Addr>(take);
+            item.rec = TraceRecord{Op::NonMem, 0, 0, last_pc};
+            run_left = prefix - take;
+            pending = header;
+            consumed = left;
+            break;
+        }
         item.nonMemBefore = prefix;
+        item.pcBefore = last_pc;
         last_pc += 4 * static_cast<Addr>(prefix);
         decodeFields(bytes, offset, last_addr, last_pc, item.rec,
                      header);
@@ -551,6 +558,8 @@ MaterializedCursor::nextRuns(TraceRun *out, std::size_t max)
     offset_ = offset;
     last_addr_ = last_addr;
     last_pc_ = last_pc;
+    run_left_ = run_left;
+    pending_ = pending;
     index_ += consumed;
     return produced;
 }

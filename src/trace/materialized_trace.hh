@@ -59,10 +59,6 @@ class MaterializedTrace
     /** Identity inherited from the source (reports key off it). */
     const std::string &name() const { return name_; }
 
-    /** Content hash: two traces with equal fingerprints and sizes
-     *  replay identically (used by cache cross-checks and tests). */
-    std::uint64_t fingerprint() const { return fingerprint_; }
-
   private:
     friend class MaterializedCursor;
 
@@ -89,7 +85,6 @@ class MaterializedTrace
     std::vector<std::uint8_t> bytes_;
     std::vector<Sync> syncs_;
     Count size_ = 0;
-    std::uint64_t fingerprint_ = 0;
     std::string name_ = "materialized";
 
     /** @name Encoder state (meaningful only during build()). */
@@ -99,28 +94,6 @@ class MaterializedTrace
     /** Plain NonMem records accumulated but not yet tokenised. */
     unsigned enc_run_ = 0;
     /// @}
-};
-
-/**
- * One decoded run item: a run of plain non-memory instructions
- * followed by one explicit record. This is the stream's native shape
- * — the encoder folds NonMem runs into a prefix byte on the next
- * record — surfaced directly so batch consumers can charge the run
- * in O(1) instead of scanning materialized filler records.
- *
- * The run covers @ref nonMemBefore plain NonMem records (size 0, no
- * address, pc ascending by 4 up to `rec.pc - 4`); their individual
- * pc values are not materialized, so run consumers must not need
- * per-instruction fetch addresses (the simulator's run-feed path is
- * gated on a perfect I-cache for exactly this reason). A trailing
- * NonMem run with no following record decodes as items whose `rec`
- * is itself a plain NonMem record (the encoder's carrier form).
- */
-struct TraceRun
-{
-    /** Plain NonMem records preceding (and not including) rec. */
-    std::uint32_t nonMemBefore = 0;
-    TraceRecord rec;
 };
 
 /**
@@ -141,14 +114,18 @@ class MaterializedCursor final : public TraceSource
     std::string name() const override { return trace_->name(); }
 
     /**
-     * Decode up to @p max run items (see TraceRun): the same stream
-     * nextBatch() yields, but with NonMem runs delivered as counts
-     * instead of materialized filler records. The cursor advances by
-     * the records the items cover, so nextRuns() and nextBatch()
-     * calls may be interleaved freely on one cursor.
-     * @return items produced; 0 at end of trace.
+     * Decode up to @p max run items (see TraceRun) straight from the
+     * run-prefix encoding: the same stream nextBatch() yields, with
+     * NonMem runs delivered as counts instead of filler records. An
+     * item whose run would overshoot @p record_budget is cut at the
+     * budget and its remainder parked, so the cursor stops exactly
+     * at the quota. The cursor advances by the records the items
+     * cover, so nextRuns(), nextBatch() and next() calls may be
+     * interleaved freely on one cursor.
+     * @return items produced; 0 at end of trace or on a zero budget.
      */
-    std::size_t nextRuns(TraceRun *out, std::size_t max);
+    std::size_t nextRuns(TraceRun *out, std::size_t max,
+                         Count record_budget = kNoRecordBudget) override;
 
     /** Jump so the next record returned is record @p index. */
     void seek(Count index);
@@ -164,8 +141,9 @@ class MaterializedCursor final : public TraceSource
     Addr last_pc_ = 0;
     /** NonMem records left in the run prefix being replayed. */
     unsigned run_left_ = 0;
-    /** Header byte of an item cut by a batch boundary after its
-     *  run prefix was (partially) consumed; -1 when none. */
+    /** Header byte of an item cut by a batch boundary or a record
+     *  budget after its run prefix was (partially) consumed; -1
+     *  when none. */
     int pending_ = -1;
 
     void decodeOne(TraceRecord &record);

@@ -389,7 +389,7 @@ TEST_P(SimulatorEquivalence, NaiveScanReproducesResultsBitForBit)
         Simulator sim(variant);
         MemoryTrace trace(records, "fuzz");
         std::ostringstream os;
-        sim.run(trace, 0).dump(os, "t");
+        sim.run(trace).dump(os, "t");
         return os.str();
     };
     EXPECT_EQ(run(true), run(false));

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -301,6 +302,22 @@ TEST(Loopback, OverloadAnswersRetryAfterAndRetriesComplete)
             EXPECT_EQ(ResponseType::Results, response.type);
         });
     }
+
+    // Probe only once both slow cells are admitted, one running and
+    // one filling the queue; a probe that slipped in between them
+    // would make the second slow cell bounce instead of the prober.
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    bool bothAdmitted = false;
+    while (!bothAdmitted && std::chrono::steady_clock::now() < deadline) {
+        DispatchQueueStats stats = fixture.server.queueStats();
+        bothAdmitted =
+            stats.popped >= 1 && stats.depth == config.queueCapacity;
+        if (!bothAdmitted)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(bothAdmitted)
+        << "the two slow cells were not both admitted within 30 s";
 
     // Hammer with cheap distinct cells until one bounces.
     ServeClient prober = fixture.client();

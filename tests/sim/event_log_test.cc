@@ -98,7 +98,7 @@ TEST(EventLogSim, SimulatorRecordsTheStory)
     MachineConfig config;
     Simulator sim(config);
     EventLog log(64);
-    sim.attachEventLog(&log);
+    sim.attachObs(obs::ObsSink{.eventLog = &log});
 
     sim.step(TraceRecord::store(0x1000)); // store
     sim.step(TraceRecord::store(0x2000)); // store (starts retirement)
@@ -119,7 +119,7 @@ TEST(EventLogSim, DetachedLogCostsNothing)
     Simulator with_log(config);
     Simulator without_log(config);
     EventLog log(8);
-    with_log.attachEventLog(&log);
+    with_log.attachObs(obs::ObsSink{.eventLog = &log});
     for (Addr a = 1; a <= 20; ++a) {
         with_log.step(TraceRecord::store(a * 0x1000));
         without_log.step(TraceRecord::store(a * 0x1000));
@@ -175,7 +175,7 @@ TEST(EventLogSim, BarrierAndBufferFullEventsCaptured)
     MachineConfig config;
     Simulator sim(config);
     EventLog log(64);
-    sim.attachEventLog(&log);
+    sim.attachObs(obs::ObsSink{.eventLog = &log});
     for (Addr a = 1; a <= 5; ++a)
         sim.step(TraceRecord::store(a * 0x1000));
     sim.step(TraceRecord::barrier());

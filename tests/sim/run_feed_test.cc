@@ -1,13 +1,17 @@
 /**
  * @file
- * Equivalence tests for the simulator's run-item feed: consuming a
- * MaterializedCursor through nextRuns() (run counts + one record per
- * item) must reproduce the per-record paths bit-for-bit — same
- * cycles, same stall attribution, same buffer traffic — on every
- * profile and on machines that disqualify the fast path.
+ * Equivalence suite for the simulator's one feed loop. Every way of
+ * feeding a trace — run items from a MaterializedCursor (NonMem runs
+ * as counts, cut at record budgets), one item per record from a
+ * generator, consume() then run() on one cursor — must reproduce a
+ * step()-per-record reference bit-for-bit: same cycles, same stall
+ * attribution, same buffer traffic. Machines whose NonMem runs are
+ * charged per instruction (bubbles, a real I-cache) are covered too.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "harness/figures.hh"
 #include "sim/simulator.hh"
@@ -49,76 +53,155 @@ expectSameResults(const SimResults &a, const SimResults &b,
     EXPECT_EQ(a.barrierStallCycles, b.barrierStallCycles) << what;
 }
 
+/**
+ * The reference: step() every record of @p trace, resetting stats
+ * after the first @p warmup records, then drain.
+ */
+SimResults
+stepReference(const MaterializedTrace &trace,
+              const MachineConfig &machine, Count warmup = 0)
+{
+    MaterializedCursor cursor(trace);
+    Simulator stepper(machine);
+    TraceRecord record;
+    for (Count done = 1; cursor.next(record); ++done) {
+        stepper.step(record);
+        if (done == warmup)
+            stepper.resetStats();
+    }
+    stepper.drain();
+    return stepper.results(trace.name());
+}
+
+MaterializedTrace
+buildTrace(const char *name, Count records, std::uint64_t seed)
+{
+    SyntheticSource source(spec92::profile(name), records, seed);
+    return MaterializedTrace::build(source);
+}
+
+/** An index two records into the first encoded NonMem run of at
+ *  least four records: a quota there cuts a run item. */
+Count
+midRunIndex(const MaterializedTrace &trace)
+{
+    MaterializedCursor cursor(trace);
+    TraceRun item;
+    for (Count at = 0; cursor.nextRuns(&item, 1) == 1;
+         at = cursor.position()) {
+        if (item.nonMemBefore >= 4)
+            return at + 2;
+    }
+    ADD_FAILURE() << "no NonMem run in " << trace.name();
+    return 0;
+}
+
 TEST(RunFeed, MatchesRecordPathsOnEveryProfile)
 {
     for (const char *name : {"compress", "tomcatv", "espresso", "sc"}) {
         BenchmarkProfile profile = spec92::profile(name);
         MachineConfig machine = figures::baselineMachine();
 
-        // Reference: the generator feed (record-path runBatch).
+        // The generator feed: one run item per record.
         SyntheticSource direct(profile, kRecords, 3);
         Simulator ref(machine);
         SimResults ref_results = ref.run(direct);
 
-        // Run-item feed from a materialized cursor.
+        // Run items with NonMem runs as counts.
         SyntheticSource again(profile, kRecords, 3);
         MaterializedTrace trace = MaterializedTrace::build(again);
         MaterializedCursor cursor(trace);
         Simulator fed(machine);
         SimResults fed_results = fed.run(cursor);
         expectSameResults(fed_results, ref_results, name);
-
-        // Scalar reference: one step() per replayed record.
-        MaterializedCursor scalar(trace);
-        Simulator stepper(machine);
-        TraceRecord record;
-        while (scalar.next(record))
-            stepper.step(record);
-        stepper.drain();
-        SimResults step_results = stepper.results(name);
-        expectSameResults(fed_results, step_results, name);
+        expectSameResults(fed_results, stepReference(trace, machine),
+                          name);
     }
 }
 
-TEST(RunFeed, BubbleMachineTakesRecordPathAndStillMatches)
+TEST(RunFeed, BubbleMachineMatchesStepReference)
 {
-    // bubbleProbability > 0 disqualifies batched run handling: every
-    // record must draw from the bubble RNG in order. The cursor feed
-    // must fall back to the record path and match the generator feed
-    // exactly (same RNG draw sequence).
-    BenchmarkProfile profile = spec92::profile("compress");
+    // bubbleProbability > 0: every instruction, NonMem runs included,
+    // draws from the bubble RNG in order, so runs are charged one
+    // instruction at a time.
     MachineConfig machine = figures::baselineMachine();
     machine.bubbleProbability = 0.05;
+    MaterializedTrace trace = buildTrace("compress", kRecords, 7);
 
-    SyntheticSource direct(profile, kRecords, 7);
-    Simulator ref(machine);
-    SimResults ref_results = ref.run(direct);
-
-    SyntheticSource again(profile, kRecords, 7);
-    MaterializedTrace trace = MaterializedTrace::build(again);
     MaterializedCursor cursor(trace);
     Simulator fed(machine);
     SimResults fed_results = fed.run(cursor);
-    expectSameResults(fed_results, ref_results, "bubble");
+    expectSameResults(fed_results, stepReference(trace, machine),
+                      "bubble");
+
+    SyntheticSource direct(spec92::profile("compress"), kRecords, 7);
+    Simulator generated(machine);
+    expectSameResults(generated.run(direct), fed_results,
+                      "bubble generator");
 }
 
-TEST(RunFeed, LimitedRunTakesRecordPathAndStopsExactly)
+TEST(RunFeed, RealICacheMachineMatchesStepReference)
 {
-    BenchmarkProfile profile = spec92::profile("compress");
+    // A real I-cache fetches every instruction's pc, so each NonMem
+    // run is replayed with its implied pcs.
     MachineConfig machine = figures::baselineMachine();
+    machine.perfectICache = false;
+    MaterializedTrace trace = buildTrace("espresso", kRecords, 11);
 
-    SyntheticSource direct(profile, kRecords, 5);
-    Simulator ref(machine);
-    SimResults ref_results = ref.run(direct, 10'000);
-    EXPECT_EQ(ref_results.instructions, 10'000u);
-
-    SyntheticSource again(profile, kRecords, 5);
-    MaterializedTrace trace = MaterializedTrace::build(again);
     MaterializedCursor cursor(trace);
     Simulator fed(machine);
-    SimResults fed_results = fed.run(cursor, 10'000);
-    EXPECT_EQ(fed_results.instructions, 10'000u);
-    expectSameResults(fed_results, ref_results, "limited");
+    SimResults fed_results = fed.run(cursor);
+    SimResults ref_results = stepReference(trace, machine);
+    expectSameResults(fed_results, ref_results, "icache");
+    EXPECT_EQ(fed_results.ifetchMisses, ref_results.ifetchMisses);
+    EXPECT_EQ(fed_results.l2IFetchStallCycles,
+              ref_results.l2IFetchStallCycles);
+    EXPECT_GT(fed_results.ifetchMisses, 0u);
+}
+
+TEST(RunFeed, QuotaStopsExactlyAndMatchesStepReference)
+{
+    MachineConfig machine = figures::baselineMachine();
+    MaterializedTrace trace = buildTrace("compress", kRecords, 5);
+    MaterializedTrace prefix = buildTrace("compress", 10'000, 5);
+
+    MaterializedCursor cursor(trace);
+    Simulator fed(machine);
+    ASSERT_EQ(fed.consume(cursor, 10'000), 10'000u);
+    EXPECT_EQ(cursor.position(), 10'000u);
+    EXPECT_EQ(fed.instructions(), 10'000u);
+    fed.drain();
+    expectSameResults(fed.results("limited"),
+                      stepReference(prefix, machine), "limited");
+}
+
+TEST(RunFeed, ConsumeThenRunResumesWhereTheQuotaCut)
+{
+    MaterializedTrace trace = buildTrace("compress", kRecords, 13);
+    const Count mid_run = midRunIndex(trace);
+    MachineConfig plain = figures::baselineMachine();
+    MachineConfig bubbly = plain;
+    bubbly.bubbleProbability = 0.05;
+    MachineConfig icache = plain;
+    icache.perfectICache = false;
+
+    for (const MachineConfig &machine : {plain, bubbly, icache}) {
+        for (Count k : {mid_run, Count{4096}, Count{3 * 4096},
+                        trace.size()}) {
+            MaterializedCursor cursor(trace);
+            Simulator fed(machine);
+            ASSERT_EQ(fed.consume(cursor, k), k);
+            ASSERT_EQ(cursor.position(), k);
+            fed.resetStats();
+            SimResults fed_results = fed.run(cursor);
+            EXPECT_EQ(fed_results.instructions, trace.size() - k);
+            std::string what =
+                machine.describe() + " k=" + std::to_string(k);
+            expectSameResults(fed_results,
+                              stepReference(trace, machine, k),
+                              what.c_str());
+        }
+    }
 }
 
 } // namespace

@@ -65,8 +65,12 @@ TEST(MaterializedTrace, FingerprintIdentifiesContent)
     MaterializedTrace ta1 = MaterializedTrace::build(a1);
     MaterializedTrace ta2 = MaterializedTrace::build(a2);
     MaterializedTrace tb = MaterializedTrace::build(b);
-    EXPECT_EQ(ta1.fingerprint(), ta2.fingerprint());
-    EXPECT_NE(ta1.fingerprint(), tb.fingerprint());
+    auto decoded = [](const MaterializedTrace &trace) {
+        MaterializedCursor cursor(trace);
+        return drain(cursor);
+    };
+    EXPECT_EQ(decoded(ta1), decoded(ta2));
+    EXPECT_NE(decoded(ta1), decoded(tb));
 }
 
 TEST(MaterializedTrace, BuildHonoursLimit)
@@ -130,19 +134,17 @@ TEST(MaterializedCursor, NextBatchMatchesNext)
 }
 
 /** Expand run items back into flat records. A run's NonMem pcs step
- *  by 4 from the pc of the record preceding the run (the decoder's
- *  last_pc), which the expansion tracks across items. */
+ *  by 4 from the pc of the record preceding the run. */
 void
-expandItems(const TraceRun *items, std::size_t count, Addr &last_pc,
+expandItems(const TraceRun *items, std::size_t count,
             std::vector<TraceRecord> &records)
 {
     for (std::size_t i = 0; i < count; ++i) {
         const TraceRun &item = items[i];
         for (std::uint32_t k = 1; k <= item.nonMemBefore; ++k)
-            records.push_back(
-                TraceRecord::nonMem(last_pc + 4 * static_cast<Addr>(k)));
+            records.push_back(TraceRecord::nonMem(
+                item.pcBefore + 4 * static_cast<Addr>(k)));
         records.push_back(item.rec);
-        last_pc = item.rec.pc;
     }
 }
 
@@ -151,12 +153,11 @@ expandRuns(MaterializedCursor &cursor, std::size_t batch_items)
 {
     std::vector<TraceRecord> records;
     std::vector<TraceRun> items(batch_items);
-    Addr last_pc = 0;
     for (;;) {
         std::size_t got = cursor.nextRuns(items.data(), batch_items);
         if (got == 0)
             break;
-        expandItems(items.data(), got, last_pc, records);
+        expandItems(items.data(), got, records);
     }
     return records;
 }
@@ -200,18 +201,15 @@ TEST(MaterializedCursor, NextRunsResumesAfterRecordBatchCut)
     std::vector<TraceRecord> seen;
     TraceRecord buffer[7];
     std::vector<TraceRun> items(5);
-    Addr last_pc = 0;
     bool use_records = true;
     for (;;) {
         std::size_t before = seen.size();
         if (use_records) {
             std::size_t got = mixed.nextBatch(buffer, 7);
             seen.insert(seen.end(), buffer, buffer + got);
-            if (got > 0)
-                last_pc = buffer[got - 1].pc;
         } else {
             std::size_t got = mixed.nextRuns(items.data(), 5);
-            expandItems(items.data(), got, last_pc, seen);
+            expandItems(items.data(), got, seen);
         }
         use_records = !use_records;
         if (seen.size() == before)
@@ -221,6 +219,41 @@ TEST(MaterializedCursor, NextRunsResumesAfterRecordBatchCut)
     for (std::size_t i = 0; i < expected.size(); ++i)
         ASSERT_EQ(seen[i], expected[i]) << "record " << i;
     EXPECT_EQ(mixed.position(), trace.size());
+}
+
+TEST(MaterializedCursor, NextRunsStopsExactlyAtRecordBudget)
+{
+    BenchmarkProfile profile = spec92::profile("compress");
+    SyntheticSource source(profile, 20'000, 9);
+    MaterializedTrace trace = MaterializedTrace::build(source);
+
+    MaterializedCursor flat(trace);
+    std::vector<TraceRecord> expected = drain(flat);
+
+    // Budgets of 1..13 records cut items mid-run again and again;
+    // the pieces must still cover the stream record-for-record.
+    MaterializedCursor budgeted(trace);
+    std::vector<TraceRecord> seen;
+    std::vector<TraceRun> items(64);
+    for (Count budget = 1;; budget = budget % 13 + 1) {
+        Count before = budgeted.position();
+        std::size_t got =
+            budgeted.nextRuns(items.data(), items.size(), budget);
+        if (got == 0)
+            break;
+        expandItems(items.data(), got, seen);
+        ASSERT_EQ(seen.size(), budgeted.position());
+        ASSERT_LE(budgeted.position() - before, budget);
+        if (budgeted.position() < trace.size()) {
+            ASSERT_EQ(budgeted.position() - before, budget);
+        }
+    }
+    ASSERT_EQ(seen.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        ASSERT_EQ(seen[i], expected[i]) << "record " << i;
+    budgeted.reset();
+    EXPECT_EQ(budgeted.nextRuns(items.data(), items.size(), 0), 0u);
+    EXPECT_EQ(budgeted.position(), 0u);
 }
 
 TEST(MaterializedCursor, ResetRestartsFromRecordZero)
