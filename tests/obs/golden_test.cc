@@ -1,8 +1,9 @@
 /**
  * @file
  * Golden-file tests: the JSON, CSV, and trace_event artifacts of a
- * tiny deterministic run must match the checked-in references byte
- * for byte. Regenerate with WBSIM_UPDATE_GOLDEN=1 after a deliberate
+ * tiny deterministic run, and the per-core results of a few small
+ * multi-core cells, must match the checked-in references byte for
+ * byte. Regenerate with WBSIM_UPDATE_GOLDEN=1 after a deliberate
  * format change and review the diff like any other code change.
  *
  * The golden provenance pins build_flags to "golden" so the files do
@@ -24,6 +25,7 @@
 #include "obs/timeline.hh"
 #include "obs/trace_event.hh"
 #include "sim/event_log.hh"
+#include "sim/multicore.hh"
 #include "workloads/spec92.hh"
 
 #ifndef WBSIM_GOLDEN_DIR
@@ -130,6 +132,64 @@ TEST(Golden, TraceEventJson)
     writeTraceEventJson(os, &log, &timeline,
                         goldenProvenance(machine));
     expectGolden("trace_event.json", os.str());
+}
+
+TEST(Golden, MultiCoreCells)
+{
+    // Small 2- and 4-core cells under both bus disciplines, plus a
+    // real-I-cache machine (every instruction may fetch through the
+    // bus), replayed from materialized traces so NonMem runs arrive
+    // as run items. Each core's SimResults document and bus service
+    // accounting is pinned: the schedule may be reorganised, but no
+    // bit of any core's result may move.
+    struct Cell
+    {
+        const char *benchmark;
+        unsigned cores;
+        BusDiscipline discipline;
+        bool realICache;
+    };
+    constexpr Cell kCells[] = {
+        {"compress", 2, BusDiscipline::Fcfs, false},
+        {"compress", 2, BusDiscipline::Priority, false},
+        {"espresso", 4, BusDiscipline::Fcfs, false},
+        {"li", 4, BusDiscipline::Priority, false},
+        {"compress", 2, BusDiscipline::Fcfs, true},
+    };
+    RunnerOptions options;
+    options.instructions = 4 * kInstructions;
+    options.warmup = kInstructions;
+    options.seed = kSeed;
+    options.materialize = true;
+    options.checkpoints = false;
+
+    std::ostringstream os;
+    for (const Cell &cell : kCells) {
+        MachineConfig machine = figures::baselineMachine();
+        machine.cores = cell.cores;
+        machine.busDiscipline = cell.discipline;
+        machine.perfectICache = !cell.realICache;
+        machine.validate();
+        MultiCoreResults r = runMultiCore(spec92::profile(cell.benchmark),
+                                          machine, options, kSeed);
+        ASSERT_EQ(r.perCore.size(), cell.cores);
+        os << "# " << cell.benchmark << " " << machine.describe()
+           << "\n";
+        for (unsigned i = 0; i < cell.cores; ++i) {
+            Provenance p = goldenProvenance(machine);
+            p.seed = kSeed + i;
+            p.instructions = options.instructions;
+            p.warmup = options.warmup;
+            os << "## core " << i << "\n";
+            writeSimResultsJson(os, r.perCore[i], p);
+            const BusCoreStats &bus = r.bus[i];
+            os << "## bus " << i << " grants=" << bus.grants
+               << " busy_cycles=" << bus.busyCycles
+               << " wait_cycles=" << bus.waitCycles
+               << " contended_grants=" << bus.contendedGrants << "\n";
+        }
+    }
+    expectGolden("multicore_cells.txt", os.str());
 }
 
 } // namespace
