@@ -60,17 +60,12 @@ parseBusDiscipline(std::string_view name)
                 "' (expected one of: ", known.str(), ")");
 }
 
-BusArbiter::BusArbiter(unsigned cores, BusDiscipline discipline)
-    : pending_(cores), stats_(cores), exhausted_(cores, false),
-      discipline_(discipline)
+BusArbiter::BusArbiter(unsigned cores, BusDiscipline discipline,
+                       BusScheduler *scheduler)
+    : pending_(cores), stats_(cores),
+      scheduler_(scheduler), discipline_(discipline)
 {
     wbsim_assert(cores >= 1, "a bus needs at least one requester");
-}
-
-void
-BusArbiter::setHooks(CoreHooks hooks)
-{
-    hooks_ = std::move(hooks);
 }
 
 bool
@@ -135,7 +130,7 @@ BusArbiter::winner() const
 void
 BusArbiter::advanceOthers()
 {
-    if (!hooks_.clockOf || !hooks_.stepOne)
+    if (scheduler_ == nullptr)
         return; // no scheduler: nothing can lag (unit tests, N=1)
     for (;;) {
         // Every free core must reach the instant the winning request
@@ -152,22 +147,21 @@ BusArbiter::advanceOthers()
             std::max(pending_[static_cast<unsigned>(w)].earliest,
                      free_at_);
         int lagging = -1;
-        Cycle lag_clock = 0;
+        Cycle lag_clock = horizon;
         for (unsigned i = 0; i < pending_.size(); ++i) {
-            if (pending_[i].active || exhausted_[i])
+            const Pending &p = pending_[i];
+            if (p.active || p.exhausted)
                 continue;
-            Cycle t = hooks_.clockOf(i);
-            if (t >= horizon)
-                continue;
-            if (lagging < 0 || t < lag_clock) {
+            Cycle t = scheduler_->clockOf(i);
+            if (t < lag_clock) {
                 lagging = static_cast<int>(i);
                 lag_clock = t;
             }
         }
         if (lagging < 0)
             return;
-        if (!hooks_.stepOne(static_cast<unsigned>(lagging)))
-            exhausted_[static_cast<unsigned>(lagging)] = true;
+        if (!scheduler_->stepOne(static_cast<unsigned>(lagging)))
+            pending_[static_cast<unsigned>(lagging)].exhausted = true;
     }
 }
 

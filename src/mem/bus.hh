@@ -15,19 +15,19 @@
  * causality window: when core A requests the bus at cycle t, cores
  * whose local clocks are still behind the prospective grant instant
  * may yet present competing requests. The arbiter therefore runs a
- * conservative co-simulation: it advances lagging cores (via the
- * scheduler hooks) until every free core's clock has passed the
- * instant the winning request would be granted, then commits exactly
- * one grant. Re-entrant requests from the advanced cores simply join
- * the pending set; recursion depth is bounded by the core count and
- * every pass either advances a core by one record or grants a
- * request, so the resolution terminates (DESIGN.md §14).
+ * conservative co-simulation: it advances lagging cores (through the
+ * owning system's BusScheduler) until every free core's clock has
+ * passed the instant the winning request would be granted, then
+ * commits exactly one grant. Re-entrant requests from the advanced
+ * cores simply join the pending set; recursion depth is bounded by
+ * the core count and every pass either advances a core by one
+ * scheduled record or grants a request, so the resolution
+ * terminates (DESIGN.md §14).
  */
 
 #ifndef WBSIM_MEM_BUS_HH
 #define WBSIM_MEM_BUS_HH
 
-#include <functional>
 #include <string_view>
 #include <vector>
 
@@ -72,39 +72,47 @@ struct BusCoreStats
 };
 
 /**
+ * The system that owns a BusArbiter, as the arbiter sees it: a set
+ * of cores, each with a local clock and a next record that may
+ * request the bus. The arbiter steps lagging cores through it while
+ * a request waits for its causality window to close.
+ *
+ * WBSIM_DEVIRT_OK: L2Port::begin is WBSIM_HOT and reaches
+ * advanceOthers(), which dispatches here. The one production
+ * implementation, MultiCoreSystem, is `final`; the call is one
+ * indirect branch per scheduled record.
+ */
+class WBSIM_DEVIRT_OK BusScheduler
+{
+  public:
+    virtual ~BusScheduler() = default;
+
+    /** Clock of core @p i before its next scheduled record. */
+    virtual Cycle clockOf(unsigned i) const = 0;
+
+    /** Run core @p i's next scheduled record; false when it has none
+     *  left (the arbiter then stops asking). */
+    virtual bool stepOne(unsigned i) = 0;
+};
+
+/**
  * The shared-bus arbiter: one global busy interval, N requesters.
  *
  * Cores interact through their L2Port (L2Port::attachBus); the
- * MultiCoreSystem supplies the scheduler hooks that let the arbiter
- * advance lagging cores while a request is pending. A single-core
- * system may attach an arbiter too: with no other requesters every
- * grant degenerates to max(earliest, freeAt), bit-identical to the
- * unattached port (the N=1 equivalence tests pin this down).
+ * owning system's BusScheduler lets the arbiter advance lagging cores
+ * while a request is pending. A single-core system may attach an
+ * arbiter too: with no other requesters every grant degenerates to
+ * max(earliest, freeAt), bit-identical to the unattached port (the
+ * N=1 equivalence tests pin this down).
  */
 class BusArbiter
 {
   public:
-    /**
-     * Scheduler hooks wired by the owning system. std::function
-     * rather than a virtual interface follows the L2WriteHook
-     * precedent: the blessed indirection pattern on hot paths
-     * (DESIGN.md §10).
-     */
-    struct CoreHooks
-    {
-        /** Current local clock of core @p i (between records). */
-        std::function<Cycle(unsigned)> clockOf;
-        /** Advance core @p i by one trace record; false when its
-         *  source is exhausted. */
-        std::function<bool(unsigned)> stepOne;
-    };
-
-    BusArbiter(unsigned cores, BusDiscipline discipline);
-
-    /** Wire (or replace) the scheduler hooks. Without hooks the
-     *  arbiter still serialises, but cannot advance lagging cores —
-     *  fine for single-core use and direct unit tests. */
-    void setHooks(CoreHooks hooks);
+    /** @p scheduler (not owned) advances lagging cores. Without one
+     *  the arbiter still serialises, but cannot advance lagging
+     *  cores — fine for single-core use and direct unit tests. */
+    BusArbiter(unsigned cores, BusDiscipline discipline,
+               BusScheduler *scheduler = nullptr);
 
     WBSIM_REQUIRES(bus_driver) unsigned cores() const
     {
@@ -129,7 +137,7 @@ class BusArbiter
     /**
      * Request the bus for @p duration cycles, no earlier than
      * @p earliest, on behalf of @p core. Advances lagging cores
-     * through the hooks until the grant is causally safe, then
+     * through the scheduler until the grant is causally safe, then
      * returns the granted start cycle (>= earliest).
      */
     WBSIM_REQUIRES(bus_driver) Cycle
@@ -155,11 +163,12 @@ class BusArbiter
     void resetStats();
 
   private:
-    /** One core's outstanding request. */
+    /** One core's slot: its outstanding request, if any. */
     struct Pending
     {
         bool active = false;
         bool granted = false;
+        bool exhausted = false;    //!< the core has no records left
         L2Txn kind = L2Txn::None;
         Cycle earliest = 0;
         Cycle duration = 0;
@@ -195,9 +204,7 @@ class BusArbiter
     WBSIM_GUARDED_BY(bus_driver)
     std::vector<Pending> pending_;     //!< slot per core, no realloc
     std::vector<BusCoreStats> stats_;  //!< slot per core
-    WBSIM_GUARDED_BY(bus_driver)
-    std::vector<bool> exhausted_;      //!< cores with no records left
-    CoreHooks hooks_;
+    BusScheduler *scheduler_;
     BusDiscipline discipline_;
 
     Cycle busy_from_ = 0;

@@ -99,6 +99,17 @@ Cache::access(Addr addr)
 }
 
 bool
+Cache::accessIfHit(Addr addr)
+{
+    if (Line *line = findLine(addr)) {
+        line->lastUse = ++useClock_;
+        ++hits_;
+        return true;
+    }
+    return false;
+}
+
+bool
 Cache::probe(Addr addr) const
 {
     return findLine(addr) != nullptr;

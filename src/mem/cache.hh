@@ -66,6 +66,10 @@ class Cache
      */
     bool access(Addr addr);
 
+    /** access() on a hit; on a miss nothing changes, not even the
+     *  miss count, so a later access() sees the same cache. */
+    bool accessIfHit(Addr addr);
+
     /** Look up without disturbing replacement state. */
     bool probe(Addr addr) const;
 

@@ -20,6 +20,15 @@ L1DataCache::load(Addr addr)
 }
 
 bool
+L1DataCache::loadIfHit(Addr addr)
+{
+    if (!tags_.accessIfHit(addr))
+        return false;
+    ++load_hits_;
+    return true;
+}
+
+bool
 L1DataCache::store(Addr addr)
 {
     // Write-through: the line, if present, is updated (an LRU touch

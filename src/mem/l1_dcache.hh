@@ -27,6 +27,10 @@ class L1DataCache
     /** Load lookup. @return true on hit. Counts load statistics. */
     bool load(Addr addr);
 
+    /** load() on a hit; a miss changes nothing and is not counted,
+     *  so load() may follow it. @return true on hit. */
+    bool loadIfHit(Addr addr);
+
     /**
      * Store lookup. On a hit the line is updated in place (tag-only
      * model: just an LRU touch); on a miss nothing is allocated

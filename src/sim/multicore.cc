@@ -10,7 +10,7 @@ namespace wbsim
 namespace
 {
 
-/// Records pulled from a core's TraceSource per batch refill.
+/// Run items pulled from a core's TraceSource per refill.
 constexpr std::size_t kFeedBatch = 256;
 
 std::vector<MachineConfig>
@@ -75,7 +75,8 @@ MultiCoreSystem::MultiCoreSystem(
     : bus_(static_cast<unsigned>(
                std::max<std::size_t>(1, configs.size())),
            configs.empty() ? BusDiscipline::Fcfs
-                           : configs.front().busDiscipline)
+                           : configs.front().busDiscipline,
+           this)
 {
     wbsim_assert(!configs.empty(),
                  "a multi-core system needs at least one core");
@@ -84,21 +85,9 @@ MultiCoreSystem::MultiCoreSystem(
         CoreState core;
         core.sim = std::make_unique<Simulator>(configs[i]);
         core.sim->attachBus(&bus_, static_cast<unsigned>(i));
-        core.batch.resize(kFeedBatch);
+        core.items.resize(kFeedBatch);
         cores_.push_back(std::move(core));
     }
-    wireHooks();
-}
-
-void
-MultiCoreSystem::wireHooks()
-{
-    BusArbiter::CoreHooks hooks;
-    hooks.clockOf = [this](unsigned i) {
-        return cores_[i].sim->now();
-    };
-    hooks.stepOne = [this](unsigned i) { return stepOne(i); };
-    bus_.setHooks(std::move(hooks));
 }
 
 void
@@ -126,26 +115,58 @@ MultiCoreSystem::beginMeasurement(unsigned i)
 }
 
 bool
+MultiCoreSystem::park(unsigned i)
+{
+    CoreState &core = cores_[i];
+    Simulator &sim = *core.sim;
+    for (;;) {
+        if (core.pos == core.have) {
+            // Each core crosses its warmup boundary at its own pace:
+            // under contention the cores' clocks diverge, so a global
+            // boundary would mix warmup and measured cycles on the
+            // faster cores. The record budget cuts the refill there.
+            if (!core.measuring && sim.instructions() >= warmup_)
+                beginMeasurement(i);
+            Count budget = core.measuring
+                ? kNoRecordBudget
+                : warmup_ - sim.instructions();
+            core.have = core.source->nextRuns(core.items.data(),
+                                              kFeedBatch, budget);
+            core.pos = 0;
+            if (core.have == 0)
+                return false;
+        }
+        TraceRun &item = core.items[core.pos];
+        if (sim.plainIssue()) {
+            core.pos += sim.runAhead(&item, core.have - core.pos);
+            if (core.pos == core.have)
+                continue;
+            core.next = core.items[core.pos++].rec;
+            return true;
+        }
+        // Any fetch may miss to L2: every instruction is scheduled,
+        // the run's NonMem instructions one at a time.
+        if (item.nonMemBefore != 0) {
+            --item.nonMemBefore;
+            item.pcBefore += 4;
+            core.next = TraceRecord::nonMem(item.pcBefore);
+            return true;
+        }
+        core.next = item.rec;
+        ++core.pos;
+        return true;
+    }
+}
+
+bool
 MultiCoreSystem::stepOne(unsigned i)
 {
     CoreState &core = cores_[i];
-    if (core.exhausted || core.source == nullptr)
+    if (!core.parked)
         return false;
-    if (core.pos == core.have) {
-        core.have = core.source->nextBatch(core.batch.data(),
-                                           kFeedBatch);
-        core.pos = 0;
-        if (core.have == 0) {
-            core.exhausted = true;
-            return false;
-        }
-    }
-    core.sim->step(core.batch[core.pos++]);
-    // Each core crosses its warmup boundary at its own pace: under
-    // contention the cores' clocks diverge, so a global boundary
-    // would mix warmup and measured cycles on the faster cores.
-    if (!core.measuring && core.sim->instructions() >= warmup_)
-        beginMeasurement(i);
+    ++handoffs_;
+    core.sim->step(core.next);
+    core.parked = park(i);
     return true;
 }
 
@@ -163,17 +184,22 @@ MultiCoreSystem::run(const std::vector<TraceSource *> &sources,
         if (warmup == 0)
             beginMeasurement(static_cast<unsigned>(i));
     }
+    for (unsigned i = 0; i < cores_.size(); ++i)
+        cores_[i].parked = park(i);
 
-    // Min-clock schedule: always feed the core whose local clock is
-    // furthest behind (ties to the lowest id), so no core runs ahead
-    // of bus traffic that could contend with it. The bus arbiter
-    // recursively advances lagging cores inside a step whenever a
-    // grant needs the causality window closed.
+    // Min-clock schedule over parked records: always run the parked
+    // record whose core clock is furthest behind (ties to the lowest
+    // id), so no core passes bus traffic that could contend with it.
+    // Work between two parked records never reads or writes the bus,
+    // so running it ahead leaves the order of bus-touching records
+    // exactly as a record-by-record min-clock schedule has it. The
+    // bus arbiter recursively advances lagging cores inside a step
+    // whenever a grant needs the causality window closed.
     for (;;) {
         int best = -1;
         Cycle best_clock = 0;
         for (unsigned i = 0; i < cores_.size(); ++i) {
-            if (cores_[i].exhausted)
+            if (!cores_[i].parked)
                 continue;
             Cycle t = cores_[i].sim->now();
             if (best < 0 || t < best_clock) {

@@ -6,7 +6,9 @@
  * The single-core Simulator is untouched as a component: each core
  * keeps its own L1s, store buffer, retirement engine, and stall
  * accounting. What the system adds is the shared resource and the
- * schedule — a min-clock record interleaving across cores, with the
+ * schedule. Each core runs ahead through work that cannot reach the
+ * L2 port and parks its next record that can; parked records are
+ * interleaved across cores in min-(clock, core id) order, with the
  * arbiter recursively advancing lagging cores whenever a bus request
  * needs a causally safe grant (DESIGN.md §14).
  *
@@ -54,7 +56,7 @@ struct MultiCoreResults
 };
 
 /** N cores, one arbitrated bus; drive with per-core trace sources. */
-class MultiCoreSystem
+class MultiCoreSystem final : public BusScheduler
 {
   public:
     /** Homogeneous system: @p config replicated config.cores times. */
@@ -75,6 +77,10 @@ class MultiCoreSystem
     /// @{
     Simulator &core(unsigned i) { return *cores_[i].sim; }
     BusArbiter &bus() { return bus_; }
+    /** Records that went through the schedule (the run loop or the
+     *  arbiter): every record on a machine whose fetches may miss,
+     *  else only stores, L1-missing loads and barriers. */
+    Count handoffs() const { return handoffs_; }
     /// @}
 
     /**
@@ -107,33 +113,49 @@ class MultiCoreSystem
                          Count warmup = 0);
 
   private:
+    /** @name BusScheduler: only parked records are scheduled, and a
+     *  core's clock is its clock before its parked record. */
+    /// @{
+    Cycle
+    clockOf(unsigned i) const override
+    {
+        return cores_[i].sim->now();
+    }
+    bool stepOne(unsigned i) override;
+    /// @}
+
     struct CoreState
     {
         std::unique_ptr<Simulator> sim;
         TraceSource *source = nullptr;
-        std::vector<TraceRecord> batch;
+        /** Run items pulled from the source; items[pos] onward are
+         *  still to run. */
+        std::vector<TraceRun> items;
         std::size_t pos = 0;
         std::size_t have = 0;
-        bool exhausted = false;
+        /** The next record that may reach the L2 port, and whether
+         *  there is one (false once the source is exhausted). */
+        TraceRecord next;
+        bool parked = false;
         bool measuring = false;
         BusCoreStats busAtReset;
         obs::ObsSink sink;
         std::string workload;
     };
 
-    /** Feed one record into core @p i (the arbiter's stepOne hook);
-     *  false when its source is exhausted. */
-    bool stepOne(unsigned i);
+    /** Run core @p i ahead to its next record that may reach the L2
+     *  port and park it there; false when the source is exhausted.
+     *  Crosses the core's warmup boundary on the way. */
+    bool park(unsigned i);
 
     /** Reset core @p i's statistics and attach its sinks: the
      *  per-core measurement boundary. */
     void beginMeasurement(unsigned i);
 
-    void wireHooks();
-
     std::vector<CoreState> cores_;
     BusArbiter bus_;
     Count warmup_ = 0;
+    Count handoffs_ = 0;
 };
 
 } // namespace wbsim

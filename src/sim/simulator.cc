@@ -429,6 +429,32 @@ Simulator::step(const TraceRecord &record)
     runItem(TraceRun{0, record});
 }
 
+std::size_t
+Simulator::runAhead(const TraceRun *items, std::size_t n)
+{
+    wbsim_assert(plain_issue_, "run-ahead on a machine whose "
+                 "instruction fetches may reach L2");
+    for (std::size_t i = 0; i < n; ++i) {
+        const TraceRun &item = items[i];
+        const TraceRecord &record = item.rec;
+        if (record.op == Op::NonMem) {
+            runItem(item);
+            continue;
+        }
+        if (item.nonMemBefore != 0)
+            chargeNonMemRun(item.nonMemBefore, item.pcBefore);
+        if (record.op != Op::Load || event_log_ != nullptr
+            || !l1d_.loadIfHit(record.addr))
+            return i;
+        // What runItem() and doLoad() do for an L1 hit, less the
+        // lookup loadIfHit() just made.
+        ++instructions_;
+        advanceIssue();
+        ++loads_;
+    }
+    return n;
+}
+
 Count
 Simulator::consume(TraceSource &source, Count count)
 {

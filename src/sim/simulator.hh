@@ -93,9 +93,28 @@ class Simulator
      */
     Count consume(TraceSource &source, Count count);
 
-    /** Execute a single record: the run item {0, @p record}. The
-     *  multi-core scheduler feeds cores this way. */
+    /** Execute a single record: the run item {0, @p record}.
+     *  MultiCoreSystem runs every record it schedules this way. */
     void step(const TraceRecord &record);
+
+    /**
+     * Multi-core run-ahead, on plain-issue machines only: execute
+     * @p items in order while the work cannot reach the L2 port —
+     * NonMem runs (charged in O(1)), NonMem records, and loads that
+     * hit in L1. Load hits are held back while an event log is
+     * attached, since a log shared between cores must record them
+     * in schedule order.
+     * @return the index of the first item whose record may reach
+     *         the L2 port, with that item's NonMem run already
+     *         charged and its record left for step(); @p n when
+     *         every item ran.
+     */
+    std::size_t runAhead(const TraceRun *items, std::size_t n);
+
+    /** Perfect I-cache and no issue bubbles: no instruction outside
+     *  loads, stores and barriers can reach the L2 port, which is
+     *  what runAhead() needs. Fixed by the config. */
+    bool plainIssue() const { return plain_issue_; }
 
     /**
      * Capture all mutable state (see SimSnapshot). Typically taken
@@ -216,9 +235,9 @@ class Simulator
             event_log_->record(cycle_, kind, addr, a, b);
     }
 
-    /** @name The feed's per-item path, forced inline into consume()
-     *  and step(): left to its own estimate GCC outlines them into
-     *  a call per item. */
+    /** @name The feed's per-item path, forced inline into consume(),
+     *  step() and runAhead(): left to its own estimate GCC outlines
+     *  them into a call per item. */
     /// @{
     /** Charge the issue cost of one instruction. */
     [[gnu::always_inline]] void advanceIssue();

@@ -61,11 +61,11 @@ class TraceSource
     virtual bool next(TraceRecord &record) = 0;
 
     /**
-     * Fetch up to @p max records into @p out. Feeds consume batches
-     * (nextRuns() by default, the multi-core scheduler directly) so
-     * the per-record cost of a source is a flat copy/decode, not a
-     * virtual call; sources with cheap bulk access (generators,
-     * in-memory and materialized traces) override this.
+     * Fetch up to @p max records into @p out. The default
+     * nextRuns() consumes batches, so the per-record cost of a
+     * source is a flat copy/decode, not a virtual call; sources with
+     * cheap bulk access (generators, in-memory and materialized
+     * traces) override this.
      * @return number of records delivered; < max only at end of
      *         stream.
      */

@@ -2,7 +2,7 @@
  * wbsim-lint fixture: the bus-grant path shape. The arbiter's grant
  * bookkeeping is WBSIM_HOT — per-core stats live in vectors sized at
  * construction and are updated in place (clean), and lagging cores
- * are advanced through std::function scheduler hooks (the blessed
+ * are advanced through a std::function hook (the blessed
  * indirection, clean). The seeded violations are the two easy ways
  * to regress it: appending a per-grant log record, and growing the
  * stats store inside the grant.
@@ -46,7 +46,7 @@ struct Arbiter
     }
 
     /** Hook dispatch through std::function — the blessed hot-path
-     *  indirection (the L2WriteHook / CoreHooks pattern): clean. */
+     *  indirection (the L2WriteHook pattern): clean. */
     HOT bool
     advanceCore(unsigned core)
     {

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the BusArbiter: discipline name round-trips, solo
- * degeneracy, FCFS vs fixed-priority ordering under the scripted
- * scheduler hooks, exhausted-core handling, and the per-core
+ * degeneracy, FCFS vs fixed-priority ordering under a scripted
+ * BusScheduler, exhausted-core handling, and the per-core
  * accounting.
  */
 
@@ -49,7 +49,7 @@ TEST(BusDisciplineDeathTest, ParseDiesOnUnknownName)
 
 TEST(BusArbiter, SoloGrantDegeneratesToMaxOfEarliestAndFreeAt)
 {
-    // One core, no hooks: every grant is max(earliest, freeAt),
+    // One core, no scheduler: every grant is max(earliest, freeAt),
     // exactly the unattached L2Port busy-interval rule.
     BusArbiter bus(1, BusDiscipline::Fcfs);
     EXPECT_EQ(bus.acquire(0, L2Txn::Read, 10, 5), 10u);
@@ -94,7 +94,7 @@ TEST(BusArbiter, BusyIntervalViewTracksTheCurrentTransaction)
  * co-simulation re-entrancy (acquire inside stepOne) without a full
  * MultiCoreSystem.
  */
-struct ScriptedRival
+struct ScriptedRival final : BusScheduler
 {
     BusArbiter bus;
     std::vector<Cycle> clocks{0, 0};
@@ -105,24 +105,28 @@ struct ScriptedRival
     bool rivalRequested = false;
 
     explicit ScriptedRival(BusDiscipline discipline)
-        : bus(2, discipline)
+        : bus(2, discipline, this)
     {
-        BusArbiter::CoreHooks hooks;
-        hooks.clockOf = [this](unsigned core) {
-            return clocks[core];
-        };
-        hooks.stepOne = [this](unsigned core) {
-            EXPECT_EQ(core, 0u); // only core 0 is ever stepped here
-            if (rivalRequested)
-                return false;
-            rivalRequested = true;
-            clocks[0] = rivalEarliest;
-            rivalStart = bus.acquire(0, rivalKind, rivalEarliest,
-                                     rivalDuration);
-            clocks[0] = 1'000'000; // past any horizon
-            return true;
-        };
-        bus.setHooks(hooks);
+    }
+
+    Cycle
+    clockOf(unsigned core) const override
+    {
+        return clocks[core];
+    }
+
+    bool
+    stepOne(unsigned core) override
+    {
+        EXPECT_EQ(core, 0u); // only core 0 is ever stepped here
+        if (rivalRequested)
+            return false;
+        rivalRequested = true;
+        clocks[0] = rivalEarliest;
+        rivalStart =
+            bus.acquire(0, rivalKind, rivalEarliest, rivalDuration);
+        clocks[0] = 1'000'000; // past any horizon
+        return true;
     }
 };
 
@@ -185,23 +189,35 @@ TEST(BusArbiter, FcfsBreaksEqualRequestTimesByArrivalOrder)
     EXPECT_EQ(rig.rivalStart, 30u);
 }
 
+/** A scheduler whose cores sit at cycle 0 with nothing to run. */
+struct EmptyCores final : BusScheduler
+{
+    unsigned steps = 0;
+
+    Cycle
+    clockOf(unsigned) const override
+    {
+        return 0;
+    }
+
+    bool
+    stepOne(unsigned) override
+    {
+        ++steps;
+        return false;
+    }
+};
+
 TEST(BusArbiter, ExhaustedCoresStopBeingStepped)
 {
     // stepOne returning false marks the core exhausted; the arbiter
     // must grant without it and never ask again.
-    BusArbiter bus(2, BusDiscipline::Fcfs);
-    unsigned steps = 0;
-    BusArbiter::CoreHooks hooks;
-    hooks.clockOf = [](unsigned) -> Cycle { return 0; };
-    hooks.stepOne = [&steps](unsigned) {
-        ++steps;
-        return false;
-    };
-    bus.setHooks(hooks);
+    EmptyCores cores;
+    BusArbiter bus(2, BusDiscipline::Fcfs, &cores);
     EXPECT_EQ(bus.acquire(1, L2Txn::Read, 10, 5), 10u);
-    EXPECT_EQ(steps, 1u);
+    EXPECT_EQ(cores.steps, 1u);
     EXPECT_EQ(bus.acquire(1, L2Txn::Read, 20, 5), 20u);
-    EXPECT_EQ(steps, 1u); // not asked again
+    EXPECT_EQ(cores.steps, 1u); // not asked again
 }
 
 TEST(BusArbiter, TimelineReceivesBusOccupancy)
