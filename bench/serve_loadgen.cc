@@ -265,6 +265,11 @@ main(int argc, char **argv)
     if (store.budgetBytes != 0 && store.bytes > store.budgetBytes)
         wbsim_fatal("loadgen: result store exceeded its byte budget");
     GridCacheStats grid = gridCacheStats();
+    std::cout << "grid cache: " << grid.traceBuilds << " trace builds, "
+              << grid.traceHits << " hits; " << grid.checkpointBuilds
+              << " checkpoint builds, " << grid.checkpointHits
+              << " hits; " << grid.cachedBytes << " / "
+              << grid.budgetBytes << " bytes\n";
     if (grid.budgetBytes != 0 && grid.cachedBytes > grid.budgetBytes)
         wbsim_fatal("loadgen: grid cache exceeded its byte budget");
     if (warm.storeHits != warm.cells)

@@ -9,7 +9,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "harness/experiment.hh"
@@ -311,19 +313,38 @@ ServeServer::handleSweep(const Request &request)
     Latch latch;
     std::vector<ResultStore::ResultPtr> results(cells.size());
     std::vector<char> fromStore(cells.size(), 0);
-    std::vector<DispatchJob> jobs;
+    std::vector<std::size_t> misses;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        CellKey key = keyOf(cells[i]);
-        if (ResultStore::ResultPtr cached = store_.find(key)) {
+        if (ResultStore::ResultPtr cached = store_.find(keyOf(cells[i]))) {
             results[i] = std::move(cached);
             fromStore[i] = 1;
-            continue;
+        } else {
+            misses.push_back(i);
         }
+    }
+
+    // Only a trace that another miss of this request replays is worth
+    // materializing; every other miss streams from its generator and
+    // leaves nothing in the grid cache.
+    using TraceKey = std::tuple<std::string, std::uint64_t, Count>;
+    auto traceKey = [&](std::size_t i) {
+        const CellSpec &spec = cells[i];
+        return TraceKey{spec.benchmark, spec.seed,
+                        spec.instructions + spec.warmup};
+    };
+    std::map<TraceKey, unsigned> traceUses;
+    for (std::size_t i : misses)
+        ++traceUses[traceKey(i)];
+
+    std::vector<DispatchJob> jobs;
+    for (std::size_t i : misses) {
+        bool shared = traceUses[traceKey(i)] > 1;
         DispatchJob job;
         job.priority = request.priority;
-        job.run = [this, &latch, &results, i, spec = cells[i]]() {
+        job.run = [this, &latch, &results, i, shared,
+                   spec = cells[i]]() {
             auto ptr = std::make_shared<const SimResults>(
-                simulateCell(spec, tlsWorkerIndex));
+                simulateCell(spec, shared, tlsWorkerIndex));
             store_.insert(keyOf(spec), ptr);
             std::lock_guard<std::mutex> lock(latch.mutex);
             results[i] = std::move(ptr);
@@ -400,7 +421,8 @@ ServeServer::workerLoop(unsigned index)
 }
 
 SimResults
-ServeServer::simulateCell(const CellSpec &spec, unsigned worker)
+ServeServer::simulateCell(const CellSpec &spec, bool sharedTrace,
+                          unsigned worker)
 {
     auto begin = std::chrono::steady_clock::now();
     BenchmarkProfile profile = spec92::profile(spec.benchmark);
@@ -409,6 +431,10 @@ ServeServer::simulateCell(const CellSpec &spec, unsigned worker)
     options.warmup = spec.warmup;
     options.threads = 1;
     options.seed = spec.seed;
+    options.materialize = sharedTrace;
+    // A checkpoint could only serve this (benchmark, seed, warmup,
+    // machine) at another run length; exact repeats are store hits.
+    options.checkpoints = false;
     SimResults result =
         runOne(profile, spec.machine, options, spec.seed);
     auto micros = std::uint64_t(

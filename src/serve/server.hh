@@ -8,19 +8,22 @@
  *   listener ──► connection threads ──► admission ──► DispatchQueue
  *                      │                   │               │
  *                      │              ResultStore      WorkerPool
- *                      │             (hit bypasses      (runOne via
- *                      ▼               the queue)       grid cache)
- *                 one response
- *                 frame per request
+ *                      │             (hit bypasses     (runOne: shared
+ *                      ▼               the queue)      traces via grid
+ *                 one response                        cache, one-shot
+ *                 frame per request                   from generator)
  *
  * A connection thread decodes one request frame at a time, answers
  * store hits immediately, and enqueues the misses as one
  * all-or-nothing batch. If the bounded queue cannot take the batch
  * the client gets RETRY_AFTER with a backoff hint — the daemon never
  * queues unboundedly and never drops a request on the floor
- * silently. Workers simulate cells through the process-wide grid
- * cache (traces and warm checkpoints are shared across requests) and
- * publish into the ResultStore.
+ * silently. Workers simulate each cell and publish it into the
+ * ResultStore. A miss whose trace (benchmark, seed, length) another
+ * miss of the same request also replays goes through the grid
+ * cache's materialized traces; every other miss streams straight
+ * from its generator and leaves nothing cached. Served cells never
+ * use warm checkpoints.
  *
  * Thread-safety contract: connection bookkeeping sits behind
  * mutex_; cross-thread sweep completion uses a per-request latch;
@@ -141,13 +144,17 @@ class ServeServer
      *  side channel (see simulateCell). */
     WBSIM_DETERMINISTIC Response handleSweep(const Request &request);
     void workerLoop(unsigned index);
-    /** Simulate one cell on a worker thread and publish it.
+    /** Simulate one cell on a worker thread and publish it. The
+     *  cell's trace goes through the grid cache only when
+     *  @p sharedTrace (another miss of its request replays it);
+     *  served cells never checkpoint. Both paths are bit-identical.
      *  WBSIM_NONDET_OK: the steady_clock reads here time the worker
      *  for the latency histograms only — the SimResults bytes come
      *  entirely from runOne(), which stays inside the checked
      *  deterministic closure (the exemption covers this body, not
      *  its callees). */
     WBSIM_NONDET_OK SimResults simulateCell(const CellSpec &spec,
+                                            bool sharedTrace,
                                             unsigned worker);
     static CellKey keyOf(const CellSpec &spec);
     /** Register the per-worker metrics (same order everywhere so

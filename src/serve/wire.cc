@@ -411,10 +411,18 @@ readFrame(int fd, std::string &payload, std::size_t maxBytes)
                            | std::uint32_t(std::uint8_t(header[7]));
     if (length > maxBytes)
         return FrameResult::TooLarge;
-    payload.resize(length);
-    if (length > 0
-        && readFully(fd, payload.data(), length) != IoResult::Ok)
-        return FrameResult::Error;
+    // Grow the payload as bytes arrive: a header alone must not
+    // commit the whole declared length.
+    constexpr std::size_t kReadChunk = 64 * 1024;
+    payload.clear();
+    while (payload.size() < length) {
+        std::size_t done = payload.size();
+        std::size_t chunk = std::min<std::size_t>(kReadChunk,
+                                                  length - done);
+        payload.resize(done + chunk);
+        if (readFully(fd, payload.data() + done, chunk) != IoResult::Ok)
+            return FrameResult::Error;
+    }
     return FrameResult::Ok;
 }
 

@@ -61,9 +61,11 @@ const char *frameResultName(FrameResult result);
 
 /**
  * Read one frame from @p fd into @p payload. Blocks; retries EINTR.
- * On BadMagic/TooLarge the connection is poisoned (the stream can no
- * longer be re-synchronised) — the caller should answer with an
- * error frame and close.
+ * The payload grows in chunks of at most 64 KiB as bytes arrive, so
+ * a peer that declares a large frame and stalls holds one chunk, not
+ * the declared length. On BadMagic/TooLarge the connection is
+ * poisoned (the stream can no longer be re-synchronised) — the
+ * caller should answer with an error frame and close.
  */
 FrameResult readFrame(int fd, std::string &payload,
                       std::size_t maxBytes = kDefaultMaxFrameBytes);

@@ -584,9 +584,11 @@ MaterializedCursor::seek(Count index)
     last_pc_ = s.lastPc;
     run_left_ = 0; // items never span a sync point
     pending_ = -1;
-    TraceRecord scratch;
+    // Walk the rest in run items; a budget cut inside a run parks it
+    // exactly as a record-at-a-time walk would.
+    TraceRun scratch[64];
     while (index_ < index)
-        decodeOne(scratch);
+        nextRuns(scratch, std::size(scratch), index - index_);
 }
 
 } // namespace wbsim

@@ -82,7 +82,8 @@ class TraceSource
      * Fetch up to @p max run items covering at most @p record_budget
      * records in total (an item covers `nonMemBefore + 1` records).
      * This default emits one item per record, over nextBatch();
-     * sources that store NonMem runs natively override it.
+     * sources that store or generate NonMem runs natively
+     * (materialized traces, the synthetic generator) override it.
      * @return number of items delivered; 0 at end of stream or when
      *         the budget is 0.
      */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/logging.hh"
 
@@ -109,6 +110,7 @@ SyntheticSource::rebuild()
     code_base_ = kCodeBase;
     loop_base_ = code_base_;
     pc_ = code_base_;
+    prev_pc_ = 0;
 }
 
 void
@@ -232,6 +234,47 @@ SyntheticSource::emit(TraceRecord &record)
         }
     }
     record.pc = nextPc();
+    prev_pc_ = record.pc;
+}
+
+std::size_t
+SyntheticSource::nextRuns(TraceRun *out, std::size_t max,
+                          Count record_budget)
+{
+    Count left = std::min(limit_ - std::min(emitted_, limit_),
+                          record_budget);
+    std::size_t produced = 0;
+    // Plain NonMem records folded into the open item so far; each
+    // one lands in out[produced].rec and is overwritten by the next.
+    std::uint32_t run = 0;
+    Addr run_pc = 0;
+    while (produced < max && left > 0) {
+        Addr pc_before = prev_pc_;
+        TraceRun &item = out[produced];
+        emit(item.rec);
+        --left;
+        const TraceRecord &rec = item.rec;
+        if (rec.op == Op::NonMem && rec.size == 0 && rec.addr == 0
+            && rec.pc == pc_before + 4
+            && run < std::numeric_limits<std::uint32_t>::max()) {
+            if (run == 0)
+                run_pc = pc_before;
+            ++run;
+            continue;
+        }
+        item.nonMemBefore = run;
+        item.pcBefore = run_pc;
+        ++produced;
+        run = 0;
+    }
+    if (run > 0) {
+        // Cut by the budget or the end of the stream: the last plain
+        // record, already in place, carries the rest of the run.
+        TraceRun &item = out[produced++];
+        item.nonMemBefore = run - 1;
+        item.pcBefore = run_pc;
+    }
+    return produced;
 }
 
 } // namespace wbsim

@@ -32,6 +32,18 @@ class SyntheticSource : public TraceSource
 
     bool next(TraceRecord &record) override;
     std::size_t nextBatch(TraceRecord *out, std::size_t max) override;
+
+    /**
+     * Generate run items (see TraceRun): plain NonMem records fold
+     * into the next item's run, so consumers charge them in O(1)
+     * exactly as they do materialized replay. A run cut by
+     * @p record_budget or by the end of the stream ends in an item
+     * whose `rec` is the run's last plain record. Interleaves freely
+     * with next() and nextBatch().
+     */
+    std::size_t nextRuns(TraceRun *out, std::size_t max,
+                         Count record_budget = kNoRecordBudget) override;
+
     void reset() override;
     std::string name() const override { return profile_.name; }
 
@@ -75,6 +87,9 @@ class SyntheticSource : public TraceSource
     Addr code_base_ = 0;
     Addr loop_base_ = 0;
     Addr pc_ = 0;
+    /** pc of the last record emitted (0 before the first): a NonMem
+     *  record at prev_pc_ + 4 continues a plain run. */
+    Addr prev_pc_ = 0;
 
     void rebuild();
     /** next() minus the end-of-stream check (batch inner loop). */

@@ -202,6 +202,56 @@ TEST(Loopback, SeedAndRunLengthChangeTheKey)
               response.cells[2].resultJson);
 }
 
+/** Sweep @p cells on a fresh server from cold grid caches; every
+ *  served cell must match its local render. */
+GridCacheStats
+sweepFromColdCaches(const std::vector<CellSpec> &cells)
+{
+    clearGridCaches();
+    ServerFixture fixture;
+    ServeClient client = fixture.client();
+    Response response;
+    std::string error;
+    EXPECT_TRUE(client.sweep(cells, 0, response, error)) << error;
+    EXPECT_EQ(ResponseType::Results, response.type) << response.error;
+    EXPECT_EQ(cells.size(), response.cells.size());
+    for (std::size_t i = 0; i < response.cells.size(); ++i) {
+        EXPECT_FALSE(response.cells[i].cacheHit);
+        EXPECT_EQ(localRender(cells[i]), response.cells[i].resultJson)
+            << "cell " << i;
+    }
+    return gridCacheStats();
+}
+
+TEST(Loopback, OneShotCellLeavesNothingInTheGridCache)
+{
+    GridCacheStats stats =
+        sweepFromColdCaches({cellFor("li", figures::baselineMachine())});
+    EXPECT_EQ(0u, stats.traceBuilds);
+    EXPECT_EQ(0u, stats.traceHits);
+    EXPECT_EQ(0u, stats.checkpointBuilds);
+    EXPECT_EQ(0u, stats.checkpointHits);
+    EXPECT_EQ(0u, stats.cachedBytes);
+}
+
+TEST(Loopback, CellsSharingATraceBuildItOnceAndNeverCheckpoint)
+{
+    // Three machines on one (benchmark, seed, length): one trace,
+    // replayed three times; warm checkpoints are never built.
+    std::vector<CellSpec> cells;
+    for (unsigned depth : {2u, 4u, 8u}) {
+        MachineConfig machine = figures::baselineMachine();
+        machine.writeBuffer.depth = depth;
+        machine.validate();
+        cells.push_back(cellFor("espresso", machine));
+    }
+    GridCacheStats stats = sweepFromColdCaches(cells);
+    EXPECT_EQ(1u, stats.traceBuilds);
+    EXPECT_EQ(2u, stats.traceHits);
+    EXPECT_EQ(0u, stats.checkpointBuilds);
+    EXPECT_EQ(0u, stats.checkpointHits);
+}
+
 TEST(Loopback, RejectsInvalidSweeps)
 {
     ServeConfig config;

@@ -121,6 +121,43 @@ TEST(WireFrame, TruncatedFrameIsError)
     EXPECT_EQ(FrameResult::Error, readFrame(pair.b(), payload));
 }
 
+TEST(WireFrame, StalledLargeFrameHoldsOnlyWhatArrived)
+{
+    // A header declaring 8 MiB, 16 payload bytes, then EOF: the read
+    // fails without ever committing the declared length.
+    SocketPair pair;
+    constexpr std::uint32_t kDeclared = 8u << 20;
+    unsigned char header[8] = {'W', 'B', 'S', '1',
+                               kDeclared >> 24, (kDeclared >> 16) & 0xff,
+                               (kDeclared >> 8) & 0xff, kDeclared & 0xff};
+    ASSERT_EQ(ssize_t(sizeof header),
+              ::send(pair.a(), header, sizeof header, 0));
+    ASSERT_EQ(16, ::send(pair.a(), "0123456789abcdef", 16, 0));
+    pair.closeA();
+    std::string payload;
+    EXPECT_EQ(FrameResult::Error,
+              readFrame(pair.b(), payload, /*maxBytes=*/kDeclared));
+    EXPECT_LE(payload.capacity(), std::size_t{64} << 10);
+}
+
+TEST(WireFrame, RoundTripsMultiMebibyteFrames)
+{
+    SocketPair pair;
+    std::string big(3u << 20, '\0');
+    for (std::size_t i = 0; i < big.size(); ++i)
+        big[i] = char('a' + i * 7 % 26);
+    // The socket buffer holds far less than the frame: write from a
+    // second thread while this one reads.
+    bool written = false;
+    std::thread writer(
+        [&]() { written = writeFrame(pair.a(), big); });
+    std::string payload;
+    EXPECT_EQ(FrameResult::Ok, readFrame(pair.b(), payload));
+    writer.join();
+    EXPECT_TRUE(written);
+    EXPECT_TRUE(payload == big);
+}
+
 /** A sweep request exercising non-default values of every layer. */
 Request
 sampleSweep()

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "trace/materialized_trace.hh"
@@ -26,6 +27,21 @@ drain(TraceSource &source)
     while (source.next(record))
         records.push_back(record);
     return records;
+}
+
+/** Expand run items back into flat records. A run's NonMem pcs step
+ *  by 4 from the pc of the record preceding the run. */
+void
+expandItems(const TraceRun *items, std::size_t count,
+            std::vector<TraceRecord> &records)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        const TraceRun &item = items[i];
+        for (std::uint32_t k = 1; k <= item.nonMemBefore; ++k)
+            records.push_back(TraceRecord::nonMem(
+                item.pcBefore + 4 * static_cast<Addr>(k)));
+        records.push_back(item.rec);
+    }
 }
 
 TEST(MaterializedTrace, RoundTripsSyntheticStreamExactly)
@@ -83,29 +99,39 @@ TEST(MaterializedTrace, BuildHonoursLimit)
 
 TEST(MaterializedCursor, SeekMatchesSequentialDecode)
 {
-    BenchmarkProfile profile = spec92::profile("sc");
-    SyntheticSource source(profile, 20'000, 11);
+    // Three sync intervals (4096-record blocks) of a run-heavy
+    // stream: seeks land on sync points, inside NonMem runs and just
+    // before the records that carry them.
+    BenchmarkProfile profile = spec92::profile("compress");
+    SyntheticSource source(profile, 3 * 4096, 11);
     MaterializedTrace trace = MaterializedTrace::build(source);
 
     MaterializedCursor sequential(trace);
     std::vector<TraceRecord> all = drain(sequential);
 
-    // Probe positions straddling sync intervals (4096-record blocks)
-    // plus both ends.
-    const Count probes[] = {0,    1,    4'095, 4'096, 4'097,
-                            8'000, 12'288, 19'999};
-    for (Count p : probes) {
+    constexpr Count kWindow = 300;
+    for (Count p = 0; p < trace.size(); ++p) {
         MaterializedCursor cursor(trace);
         cursor.seek(p);
-        EXPECT_EQ(cursor.position(), p);
+        ASSERT_EQ(cursor.position(), p);
+        // Continue through a mix of item and record reads.
+        std::vector<TraceRecord> seen;
+        TraceRun items[3];
+        expandItems(items, cursor.nextRuns(items, 3), seen);
         TraceRecord record;
-        ASSERT_TRUE(cursor.next(record)) << "position " << p;
-        EXPECT_EQ(record, all[p]) << "position " << p;
+        while (seen.size() < kWindow && cursor.next(record))
+            seen.push_back(record);
+        ASSERT_GE(seen.size(), std::min(kWindow, trace.size() - p))
+            << "position " << p;
+        for (std::size_t i = 0; i < seen.size(); ++i)
+            ASSERT_EQ(seen[i], all[p + i])
+                << "position " << p << " + " << i;
     }
 
     // Seeking to the end yields an exhausted cursor.
     MaterializedCursor end(trace);
     end.seek(trace.size());
+    EXPECT_EQ(end.position(), trace.size());
     TraceRecord record;
     EXPECT_FALSE(end.next(record));
 }
@@ -131,21 +157,6 @@ TEST(MaterializedCursor, NextBatchMatchesNext)
     ASSERT_EQ(batches.size(), singles.size());
     for (std::size_t i = 0; i < singles.size(); ++i)
         ASSERT_EQ(batches[i], singles[i]) << "record " << i;
-}
-
-/** Expand run items back into flat records. A run's NonMem pcs step
- *  by 4 from the pc of the record preceding the run. */
-void
-expandItems(const TraceRun *items, std::size_t count,
-            std::vector<TraceRecord> &records)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        const TraceRun &item = items[i];
-        for (std::uint32_t k = 1; k <= item.nonMemBefore; ++k)
-            records.push_back(TraceRecord::nonMem(
-                item.pcBefore + 4 * static_cast<Addr>(k)));
-        records.push_back(item.rec);
-    }
 }
 
 std::vector<TraceRecord>

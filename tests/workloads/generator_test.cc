@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "workloads/generator.hh"
 #include "workloads/spec92.hh"
@@ -210,6 +212,162 @@ TEST(SyntheticSource, BarrierFractionEmitsBarriers)
         barriers += rec.op == Op::Barrier;
     // ~5% of the ~60% non-memory slots.
     EXPECT_NEAR(double(barriers) / 100000.0, 0.03, 0.01);
+}
+
+/** The stream as nextBatch() delivers it, in odd-sized batches. */
+std::vector<TraceRecord>
+batchStream(const char *name, Count records, std::uint64_t seed)
+{
+    SyntheticSource source(spec92::profile(name), records, seed);
+    std::vector<TraceRecord> out;
+    TraceRecord buffer[193];
+    while (std::size_t got = source.nextBatch(buffer, 193))
+        out.insert(out.end(), buffer, buffer + got);
+    return out;
+}
+
+/** Expand run items back into records: a run's NonMem pcs step by 4
+ *  from the pc of the record preceding the run. */
+void
+expandItems(const TraceRun *items, std::size_t count,
+            std::vector<TraceRecord> &records)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        const TraceRun &item = items[i];
+        for (std::uint32_t k = 1; k <= item.nonMemBefore; ++k)
+            records.push_back(TraceRecord::nonMem(
+                item.pcBefore + 4 * static_cast<Addr>(k)));
+        records.push_back(item.rec);
+    }
+}
+
+/** Whether @p rec is a plain NonMem record continuing @p prev. */
+bool
+continuesRun(const TraceRecord &rec, const TraceRecord &prev)
+{
+    return rec.op == Op::NonMem && rec.size == 0 && rec.addr == 0
+        && rec.pc == prev.pc + 4;
+}
+
+/** expandItems(), checking the items are maximal: only a call's last
+ *  item (cut by its budget or the end of the stream) may end in a
+ *  plain record that continues its predecessor. */
+void
+expandMaximal(const TraceRun *items, std::size_t count,
+              std::vector<TraceRecord> &records)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        expandItems(items + i, 1, records);
+        std::size_t n = records.size();
+        if (i + 1 < count && n >= 2) {
+            EXPECT_FALSE(continuesRun(records[n - 1], records[n - 2]))
+                << "record " << n - 1 << " left out of its run";
+        }
+    }
+}
+
+/** Drain @p source through nextRuns() with @p budget records per
+ *  call, checking each call stops exactly at its budget. */
+std::vector<TraceRecord>
+drainRuns(SyntheticSource &source, Count budget, Count &folded)
+{
+    std::vector<TraceRecord> seen;
+    TraceRun items[64];
+    while (std::size_t got = source.nextRuns(items, 64, budget)) {
+        std::size_t before = seen.size();
+        expandMaximal(items, got, seen);
+        Count covered = seen.size() - before;
+        EXPECT_LE(covered, budget);
+        if (seen.size() < source.instructions()) {
+            // Only a full item batch may stop short of the budget.
+            EXPECT_TRUE(covered == budget || got == 64)
+                << "covered " << covered << " of " << budget;
+        }
+        for (std::size_t i = 0; i < got; ++i)
+            folded += items[i].nonMemBefore;
+    }
+    return seen;
+}
+
+/** An index two records into the first plain NonMem run of at least
+ *  four records: a budget there cuts a run. */
+Count
+midRunIndex(const std::vector<TraceRecord> &stream)
+{
+    Count run = 0;
+    for (Count i = 1; i < stream.size(); ++i) {
+        run = continuesRun(stream[i], stream[i - 1]) ? run + 1 : 0;
+        if (run == 4)
+            return i - 1;
+    }
+    ADD_FAILURE() << "no NonMem run of four records";
+    return 1;
+}
+
+TEST(SyntheticSourceRuns, ItemsExpandToTheBatchStream)
+{
+    // Dense NonMem runs (compress), store bursts (tomcatv) and loop
+    // jumps that break runs (espresso).
+    for (const char *name : {"compress", "tomcatv", "espresso"}) {
+        std::vector<TraceRecord> expected = batchStream(name, 20'000, 5);
+        const Count mid = midRunIndex(expected);
+        for (Count budget : {Count{1}, mid, Count{4096}, kNoRecordBudget}) {
+            SCOPED_TRACE(std::string(name) + " budget "
+                         + std::to_string(budget));
+            SyntheticSource source(spec92::profile(name), 20'000, 5);
+            for (int pass = 0; pass < 2; ++pass) {
+                // The second pass runs after reset().
+                Count folded = 0;
+                std::vector<TraceRecord> seen =
+                    drainRuns(source, budget, folded);
+                ASSERT_EQ(seen.size(), expected.size());
+                for (std::size_t i = 0; i < expected.size(); ++i)
+                    ASSERT_EQ(seen[i], expected[i]) << "record " << i;
+                if (budget > 1) {
+                    EXPECT_GT(folded, 0u) << "no NonMem run folded";
+                }
+                source.reset();
+            }
+        }
+    }
+}
+
+TEST(SyntheticSourceRuns, InterleavesWithNextAndNextBatch)
+{
+    std::vector<TraceRecord> expected =
+        batchStream("compress", 20'000, 9);
+    SyntheticSource mixed(spec92::profile("compress"), 20'000, 9);
+    std::vector<TraceRecord> seen;
+    TraceRecord buffer[7];
+    TraceRun items[5];
+    for (unsigned turn = 0;; ++turn) {
+        std::size_t before = seen.size();
+        switch (turn % 3) {
+          case 0: {
+            TraceRecord record;
+            if (mixed.next(record))
+                seen.push_back(record);
+            break;
+          }
+          case 1: {
+            std::size_t got = mixed.nextBatch(buffer, 7);
+            seen.insert(seen.end(), buffer, buffer + got);
+            break;
+          }
+          default: {
+            // Odd budgets cut runs; the next call must fold the
+            // records after a next()/nextBatch() into their run too.
+            std::size_t got = mixed.nextRuns(items, 5, turn % 11 + 1);
+            expandMaximal(items, got, seen);
+            break;
+          }
+        }
+        if (seen.size() == before && turn % 3 == 2)
+            break;
+    }
+    ASSERT_EQ(seen.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        ASSERT_EQ(seen[i], expected[i]) << "record " << i;
 }
 
 TEST(SyntheticSourceDeath, OverfullMixIsFatal)
