@@ -84,8 +84,11 @@ struct PhaseOutcome
  *  ask for distinct traces). */
 const char *kBenchmarks[] = {"espresso", "li", "tomcatv", "su2cor"};
 
-/** One connection's batch: @p batch cells, distinct per
- *  (connection, round) so the cold phase is all misses. */
+/** One connection's batch of @p batch cells on its own seed, so the
+ *  cold phase is all store misses. The benchmark, depth and hazard
+ *  axes all repeat every 16 cells, so a batch holds at most 16
+ *  distinct cells (the default 48-cell batch holds each three times)
+ *  and the server simulates each distinct cell once. */
 std::vector<CellSpec>
 makeBatch(unsigned connection, std::size_t batch, Count instructions,
           Count warmup)

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "sim/simulator.hh"
@@ -52,28 +53,42 @@ approxSnapshotBytes(const MachineConfig &machine)
     return count * 32 + 4 * 1024 + kEntryOverhead;
 }
 
+/** Bytes charged per key hash the checkpoint doorkeeper remembers
+ *  (an unordered_set node plus its bucket slot). */
+constexpr std::size_t kDoorkeeperKeyBytes = 32;
+
 /**
  * The process-wide grid caches: materialized traces keyed by
  * (benchmark, seed, length) and warm-state checkpoints keyed by
  * (benchmark, seed, warmup, machine state fingerprint). Both are
- * build-once: the first worker to ask for a key builds the value
- * while later askers block on a shared_future, so concurrent grid
+ * build-once: the first worker to claim a key builds the value
+ * while later claimants block on a shared_future, so concurrent grid
  * cells never duplicate work.
+ *
+ * Checkpoints are stored only on a key's second lookup. A paper
+ * figure is a one-shot sweep of distinct cells, so a snapshot stored
+ * on the first lookup would never be restored. The first lookup of a
+ * key only records its hash in a doorkeeper set, and the cell warms
+ * up on its own simulator; the second lookup also warms up in place
+ * and then stores its snapshot; later lookups restore it. A hash
+ * collision only stores a snapshot one lookup early: snapshots stay
+ * keyed by the full key string, so no result can change.
  *
  * The cache is byte-bounded: when a budget is set (WBSIM_GRID_CACHE_MB
  * or setGridCacheByteBudget) and a build pushes the resident
  * footprint past it, the least-recently-used *resolved* entries are
- * evicted across both maps until the footprint fits. In-flight
- * builds are never evicted, and eviction never invalidates a value a
- * caller already holds (values are shared_ptr; the map only drops
- * its reference), so a too-small budget degrades throughput, never
+ * evicted across both maps until the footprint fits, and then, if
+ * that is not enough, the doorkeeper is forgotten. In-flight builds
+ * are never evicted, and eviction never invalidates a value a caller
+ * already holds (values are shared_ptr; the map only drops its
+ * reference), so a too-small budget degrades throughput, never
  * correctness.
  *
- * Thread-safety contract: maps, LRU list and counters are only
- * touched under mutex_ (WBSIM_GUARDED_BY on every such member, so
- * wbsim-lint's WL-LOCK-GUARD proves it statically); the values are
- * immutable once the future resolves (shared_ptr<const>), so
- * readers never race with the builder. Verified race-free by CI's
+ * Thread-safety contract: maps, doorkeeper, LRU list and counters
+ * are only touched under mutex_ (WBSIM_GUARDED_BY on every such
+ * member, so wbsim-lint's WL-LOCK-GUARD proves it statically); the
+ * values are immutable once the future resolves (shared_ptr<const>),
+ * so readers never race with the builder. Verified race-free by CI's
  * `tsan` job, which runs the harness tests under ThreadSanitizer
  * with no suppressions.
  */
@@ -82,6 +97,19 @@ class GridCache
   public:
     using TracePtr = std::shared_ptr<const MaterializedTrace>;
     using SnapPtr = std::shared_ptr<const SimSnapshot>;
+
+    /** One lookup's claim on a key. `future` is valid when another
+     *  caller built (or is building) the value; otherwise `build`
+     *  says whether this caller must publish() the value it makes. */
+    template <typename Ptr> struct Claim
+    {
+        std::shared_future<Ptr> future;
+        std::promise<Ptr> promise;
+        std::string key;
+        std::uint64_t generation = 0;
+        bool build = false;
+    };
+    using SnapClaim = Claim<SnapPtr>;
 
     GridCache()
     {
@@ -94,40 +122,36 @@ class GridCache
     {
         std::ostringstream key;
         key << profile.name << '#' << seed << '#' << length;
-        return dedupe<TracePtr>(
-            /*isTrace=*/true, key.str(),
-            [&]() {
-                SyntheticSource source(profile, length, seed);
-                return std::make_shared<const MaterializedTrace>(
-                    MaterializedTrace::build(source));
-            },
-            [](const TracePtr &t) {
-                return t->encodedBytes() + kEntryOverhead;
-            });
+        Claim<TracePtr> claim = lookup<TracePtr>(key.str());
+        if (!claim.build)
+            return claim.future.get();
+        SyntheticSource source(profile, length, seed);
+        auto built = std::make_shared<const MaterializedTrace>(
+            MaterializedTrace::build(source));
+        publish(claim, built, built->encodedBytes() + kEntryOverhead);
+        return built;
     }
 
-    SnapPtr checkpoint(const BenchmarkProfile &profile,
-                       const MachineConfig &machine, std::uint64_t seed,
-                       Count warmup, const MaterializedTrace &trace)
+    /** Look up the warm state of (profile, seed, warmup, machine).
+     *  On a miss the caller simulates the warmup itself, and stores
+     *  its snapshot with storeCheckpoint() when the claim says
+     *  `build`. */
+    SnapClaim lookupCheckpoint(const BenchmarkProfile &profile,
+                               const MachineConfig &machine,
+                               std::uint64_t seed, Count warmup)
     {
         std::ostringstream key;
         key << profile.name << '#' << seed << '#' << warmup << '#'
             << machine.stateFingerprint();
-        return dedupe<SnapPtr>(
-            /*isTrace=*/false, key.str(),
-            [&]() {
-                Simulator simulator(machine);
-                MaterializedCursor cursor(trace);
-                Count done = simulator.consume(cursor, warmup);
-                wbsim_assert(done == warmup,
-                             "trace shorter than warmup");
-                simulator.resetStats();
-                return std::make_shared<const SimSnapshot>(
-                    simulator.snapshot());
-            },
-            [&machine](const SnapPtr &) {
-                return approxSnapshotBytes(machine);
-            });
+        return lookup<SnapPtr>(key.str());
+    }
+
+    void storeCheckpoint(SnapClaim &claim, SimSnapshot snapshot,
+                         const MachineConfig &machine)
+    {
+        publish(claim,
+                std::make_shared<const SimSnapshot>(std::move(snapshot)),
+                approxSnapshotBytes(machine));
     }
 
     GridCacheStats stats()
@@ -135,6 +159,7 @@ class GridCache
         std::lock_guard<std::mutex> lock(mutex_);
         GridCacheStats out = stats_;
         out.cachedBytes = bytes_;
+        out.doorkeeperBytes = doorkeeper_.size() * kDoorkeeperKeyBytes;
         out.budgetBytes = budget_;
         return out;
     }
@@ -151,6 +176,7 @@ class GridCache
         std::lock_guard<std::mutex> lock(mutex_);
         traces_.clear();
         snapshots_.clear();
+        doorkeeper_.clear();
         lru_.clear();
         bytes_ = 0;
         ++generation_;
@@ -175,6 +201,9 @@ class GridCache
     template <typename Ptr>
     using Map = std::unordered_map<std::string, Slot<Ptr>>;
 
+    static constexpr bool isTrace(const TracePtr *) { return true; }
+    static constexpr bool isTrace(const SnapPtr *) { return false; }
+
     /** The map holding entries of @p Ptr's kind. Tag-pointer
      *  overloads (not a template) so the WBSIM_REQUIRES contract is
      *  visible to the analyzer: the returned reference is guarded
@@ -188,66 +217,76 @@ class GridCache
         return snapshots_;
     }
 
-    template <typename Ptr, typename Build, typename SizeOf>
-    Ptr dedupe(bool isTrace, const std::string &key, Build build,
-               SizeOf sizeOf)
+    /** Find @p key, or count a build and (for a trace, or for a
+     *  checkpoint the doorkeeper has seen before) claim its slot. */
+    template <typename Ptr> Claim<Ptr> lookup(std::string key)
     {
-        std::promise<Ptr> promise;
-        std::shared_future<Ptr> future;
-        bool is_builder = false;
-        std::uint64_t my_generation = 0;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            Map<Ptr> &map = mapFor(static_cast<const Ptr *>(nullptr));
-            auto it = map.find(key);
-            if (it == map.end()) {
-                future = promise.get_future().share();
-                Slot<Ptr> slot;
-                slot.future = future;
-                slot.generation = generation_;
-                my_generation = generation_;
-                map.emplace(key, std::move(slot));
-                is_builder = true;
-                ++(isTrace ? stats_.traceBuilds
-                           : stats_.checkpointBuilds);
-            } else {
-                future = it->second.future;
-                ++(isTrace ? stats_.traceHits
-                           : stats_.checkpointHits);
-                if (it->second.resolved)
-                    lru_.splice(lru_.end(), lru_, it->second.lru);
-            }
-        }
-        if (!is_builder)
-            return future.get();
-
-        Ptr value = build();
-        promise.set_value(value);
+        constexpr bool is_trace =
+            isTrace(static_cast<const Ptr *>(nullptr));
+        Claim<Ptr> claim;
         std::lock_guard<std::mutex> lock(mutex_);
         Map<Ptr> &map = mapFor(static_cast<const Ptr *>(nullptr));
         auto it = map.find(key);
-        if (it != map.end() && !it->second.resolved
-            && it->second.generation == my_generation) {
-            it->second.resolved = true;
-            it->second.bytes = sizeOf(value);
-            it->second.lru =
-                lru_.insert(lru_.end(), {isTrace, key});
-            bytes_ += it->second.bytes;
-            evictLocked();
+        if (it != map.end()) {
+            claim.future = it->second.future;
+            ++(is_trace ? stats_.traceHits : stats_.checkpointHits);
+            if (it->second.resolved)
+                lru_.splice(lru_.end(), lru_, it->second.lru);
+            return claim;
         }
-        return value;
+        ++(is_trace ? stats_.traceBuilds : stats_.checkpointBuilds);
+        if (!is_trace
+            && doorkeeper_.insert(std::hash<std::string>{}(key)).second) {
+            bytes_ += kDoorkeeperKeyBytes;
+            evictLocked();
+            return claim;
+        }
+        Slot<Ptr> slot;
+        slot.future = claim.promise.get_future().share();
+        slot.generation = generation_;
+        map.emplace(key, std::move(slot));
+        claim.key = std::move(key);
+        claim.generation = generation_;
+        claim.build = true;
+        return claim;
+    }
+
+    /** Hand @p value to the claim's waiters and make it resident. */
+    template <typename Ptr>
+    void publish(Claim<Ptr> &claim, const Ptr &value, std::size_t bytes)
+    {
+        constexpr bool is_trace =
+            isTrace(static_cast<const Ptr *>(nullptr));
+        claim.promise.set_value(value);
+        std::lock_guard<std::mutex> lock(mutex_);
+        Map<Ptr> &map = mapFor(static_cast<const Ptr *>(nullptr));
+        auto it = map.find(claim.key);
+        if (it == map.end() || it->second.resolved
+            || it->second.generation != claim.generation)
+            return;
+        it->second.resolved = true;
+        it->second.bytes = bytes;
+        it->second.lru = lru_.insert(lru_.end(), {is_trace, claim.key});
+        bytes_ += bytes;
+        if (!is_trace)
+            ++stats_.checkpointStores;
+        evictLocked();
     }
 
     WBSIM_REQUIRES(mutex_) void evictLocked()
     {
         while (budget_ != 0 && bytes_ > budget_ && !lru_.empty()) {
-            const auto &[isTrace, key] = lru_.front();
-            if (isTrace)
+            const auto &[is_trace, key] = lru_.front();
+            if (is_trace)
                 evictFrom(traces_, key, stats_.traceEvictions);
             else
                 evictFrom(snapshots_, key,
                           stats_.checkpointEvictions);
             lru_.pop_front();
+        }
+        if (budget_ != 0 && bytes_ > budget_) {
+            bytes_ -= doorkeeper_.size() * kDoorkeeperKeyBytes;
+            doorkeeper_.clear();
         }
     }
 
@@ -267,6 +306,8 @@ class GridCache
     std::mutex mutex_;
     WBSIM_GUARDED_BY(mutex_) Map<TracePtr> traces_;
     WBSIM_GUARDED_BY(mutex_) Map<SnapPtr> snapshots_;
+    /** Hashes of checkpoint keys looked up at least once. */
+    WBSIM_GUARDED_BY(mutex_) std::unordered_set<std::size_t> doorkeeper_;
     WBSIM_GUARDED_BY(mutex_) LruList lru_;
     WBSIM_GUARDED_BY(mutex_) GridCacheStats stats_;
     WBSIM_GUARDED_BY(mutex_) std::size_t bytes_ = 0;
@@ -411,14 +452,19 @@ runOne(const BenchmarkProfile &profile, const MachineConfig &machine,
     MaterializedCursor cursor(*trace);
     Simulator simulator(machine);
     if (options.warmup > 0) {
-        if (options.checkpoints) {
-            GridCache::SnapPtr snap = cache.checkpoint(
-                profile, machine, seed, options.warmup, *trace);
-            simulator.restore(*snap);
+        GridCache::SnapClaim claim;
+        if (options.checkpoints)
+            claim = cache.lookupCheckpoint(profile, machine, seed,
+                                           options.warmup);
+        if (claim.future.valid()) {
+            simulator.restore(*claim.future.get());
             cursor.seek(options.warmup);
         } else {
             simulator.consume(cursor, options.warmup);
             simulator.resetStats();
+            if (claim.build)
+                cache.storeCheckpoint(claim, simulator.snapshot(),
+                                      machine);
         }
     }
     if (options.obs.attached())

@@ -65,7 +65,9 @@ struct RunnerOptions
     bool materialize = true;
     /** Reuse warm-state checkpoints between cells with identical
      *  (benchmark, seed, warmup, machine fingerprint); implies
-     *  materialize. WBSIM_CHECKPOINTS=0 disables. */
+     *  materialize. A key's snapshot is stored on its second lookup
+     *  and restored from the third on, so a one-shot grid keeps
+     *  none. WBSIM_CHECKPOINTS=0 disables. */
     bool checkpoints = true;
     /** Observability sinks attached to every measured simulation
      *  (after warmup, so metrics cover the measured region only).
@@ -117,18 +119,33 @@ runMultiCore(const BenchmarkProfile &profile,
              const RunnerOptions &options, std::uint64_t seed);
 
 /** Hit/build/eviction counters and footprint for the process-wide
- *  grid caches. */
+ *  grid caches. Trace lookups are traceBuilds + traceHits, and
+ *  checkpoint lookups are checkpointBuilds + checkpointHits. */
 struct GridCacheStats
 {
+    /** Trace lookups that generated and encoded the trace. */
     std::size_t traceBuilds = 0;
+    /** Trace lookups served by a cached (or in-flight) trace. */
     std::size_t traceHits = 0;
+    /** Checkpoint lookups that simulated their own warmup: a key's
+     *  first lookup, its second (which also stores the snapshot),
+     *  and any lookup after the snapshot was evicted. */
     std::size_t checkpointBuilds = 0;
+    /** Checkpoint lookups that restored a stored snapshot. */
     std::size_t checkpointHits = 0;
+    /** Snapshots that became resident; a key looked up only once
+     *  stores none. */
+    std::size_t checkpointStores = 0;
     /** LRU evictions forced by the byte budget. */
     std::size_t traceEvictions = 0;
     std::size_t checkpointEvictions = 0;
-    /** Approximate bytes of resident traces and checkpoints. */
+    /** Approximate bytes of resident traces, checkpoints and the
+     *  checkpoint doorkeeper. */
     std::size_t cachedBytes = 0;
+    /** The doorkeeper's share of cachedBytes: the hashes of
+     *  checkpoint keys looked up once, which decide when a second
+     *  lookup stores its snapshot. */
+    std::size_t doorkeeperBytes = 0;
     /** Current byte budget; 0 = unbounded. */
     std::size_t budgetBytes = 0;
 };
@@ -141,14 +158,16 @@ GridCacheStats gridCacheStats();
  * unbounded, the CLI default). When a build pushes the footprint
  * over the budget, least-recently-used resolved entries are evicted
  * (in-flight builds are never evicted; waiters hold their own
- * futures, so eviction only forces a rebuild on the *next* ask).
+ * futures, so eviction only forces a rebuild on the *next* ask),
+ * then, if that is not enough, the checkpoint doorkeeper.
  * Long-running services (wbsim-serve) must set a budget — an
  * unbounded cache over an unbounded query stream is a leak. The
  * WBSIM_GRID_CACHE_MB env var sets the initial budget.
  */
 void setGridCacheByteBudget(std::size_t bytes);
 
-/** Drop all cached traces and checkpoints and zero the counters.
+/** Drop all cached traces and checkpoints, forget every checkpoint
+ *  key looked up so far, and zero the counters.
  *  Callers must not race this with an in-flight runExperiment. */
 void clearGridCaches();
 

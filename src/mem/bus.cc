@@ -127,11 +127,9 @@ BusArbiter::winner() const
     return best;
 }
 
-void
+int
 BusArbiter::advanceOthers()
 {
-    if (scheduler_ == nullptr)
-        return; // no scheduler: nothing can lag (unit tests, N=1)
     for (;;) {
         // Every free core must reach the instant the winning request
         // would be granted before the grant is causally safe: a
@@ -140,9 +138,10 @@ BusArbiter::advanceOthers()
         // free_at_, so the horizon is recomputed each pass. A nested
         // pass may have drained the pending set entirely (including
         // this frame's own request) — nothing left to protect.
+        // Without a scheduler nothing can lag (unit tests, N=1).
         int w = winner();
-        if (w < 0)
-            return;
+        if (w < 0 || scheduler_ == nullptr)
+            return w;
         Cycle horizon =
             std::max(pending_[static_cast<unsigned>(w)].earliest,
                      free_at_);
@@ -159,16 +158,15 @@ BusArbiter::advanceOthers()
             }
         }
         if (lagging < 0)
-            return;
+            return w;
         if (!scheduler_->stepOne(static_cast<unsigned>(lagging)))
             pending_[static_cast<unsigned>(lagging)].exhausted = true;
     }
 }
 
 void
-BusArbiter::grantBest()
+BusArbiter::grantBest(int w)
 {
-    int w = winner();
     wbsim_assert(w >= 0, "grant pass with no pending request");
     Pending &p = pending_[static_cast<unsigned>(w)];
     p.start = bookGrant(static_cast<unsigned>(w), p.kind, p.earliest,
@@ -193,11 +191,13 @@ BusArbiter::acquire(unsigned core, L2Txn kind, Cycle earliest,
     me.seq = seq_++;
     // A nested resolution (from a core advanced below) may grant
     // this request while its own frame is suspended; check between
-    // passes rather than assuming grantBest() serves self.
+    // passes rather than assuming grantBest() serves self. The
+    // winner advanceOthers() returns is still current: its last pass
+    // stepped no core after computing it.
     while (!me.granted) {
-        advanceOthers();
+        int w = advanceOthers();
         if (!me.granted)
-            grantBest();
+            grantBest(w);
     }
     me.active = false;
     return me.start;

@@ -187,11 +187,12 @@ class BusArbiter
     /** Requester the discipline picks among pending, or -1. */
     WBSIM_REQUIRES(bus_driver) int winner() const;
 
-    /** Step free cores until none lags the prospective grant. */
-    WBSIM_REQUIRES(bus_driver) void advanceOthers();
+    /** Step free cores until none lags the prospective grant.
+     *  @return the winner() of the final pass, or -1. */
+    WBSIM_REQUIRES(bus_driver) int advanceOthers();
 
-    /** Commit the winning pending request. */
-    WBSIM_REQUIRES(bus_driver) void grantBest();
+    /** Commit pending request @p w, the current winner(). */
+    WBSIM_REQUIRES(bus_driver) void grantBest(int w);
 
     /* The request book below is guarded by `bus_driver`, a *virtual*
      * capability (no mutex exists): exactly one thread — the one

@@ -56,6 +56,16 @@ struct CellKey
 
     bool operator==(const CellKey &) const = default;
     std::uint64_t hash() const;
+
+    /** Hasher for unordered containers keyed by CellKey. */
+    struct Hash
+    {
+        std::size_t
+        operator()(const CellKey &key) const
+        {
+            return std::size_t(key.hash());
+        }
+    };
 };
 
 /** Counters for one ResultStore (monotonic since construction). */
@@ -107,16 +117,8 @@ class ResultStore
             std::size_t bytes = 0;
             std::list<CellKey>::iterator lru;
         };
-        struct KeyHash
-        {
-            std::size_t
-            operator()(const CellKey &key) const
-            {
-                return std::size_t(key.hash());
-            }
-        };
         WBSIM_GUARDED_BY(mutex)
-        std::unordered_map<CellKey, Slot, KeyHash> map;
+        std::unordered_map<CellKey, Slot, CellKey::Hash> map;
         WBSIM_GUARDED_BY(mutex) std::size_t bytes = 0;
     };
 

@@ -12,6 +12,7 @@
 #include <map>
 #include <sstream>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "harness/experiment.hh"
@@ -323,9 +324,23 @@ ServeServer::handleSweep(const Request &request)
         }
     }
 
-    // Only a trace that another miss of this request replays is worth
-    // materializing; every other miss streams from its generator and
-    // leaves nothing in the grid cache.
+    // Each distinct cell among the misses simulates once and fills
+    // every slot that holds it, in order of first appearance.
+    std::vector<std::vector<std::size_t>> slotsOf;
+    {
+        std::unordered_map<CellKey, std::size_t, CellKey::Hash> index;
+        for (std::size_t i : misses) {
+            auto [it, fresh] =
+                index.try_emplace(keyOf(cells[i]), slotsOf.size());
+            if (fresh)
+                slotsOf.emplace_back();
+            slotsOf[it->second].push_back(i);
+        }
+    }
+
+    // Only a trace that another distinct miss of this request replays
+    // is worth materializing; every other miss streams from its
+    // generator and leaves nothing in the grid cache.
     using TraceKey = std::tuple<std::string, std::uint64_t, Count>;
     auto traceKey = [&](std::size_t i) {
         const CellSpec &spec = cells[i];
@@ -333,21 +348,25 @@ ServeServer::handleSweep(const Request &request)
                         spec.instructions + spec.warmup};
     };
     std::map<TraceKey, unsigned> traceUses;
-    for (std::size_t i : misses)
-        ++traceUses[traceKey(i)];
+    for (const std::vector<std::size_t> &slots : slotsOf)
+        ++traceUses[traceKey(slots.front())];
 
     std::vector<DispatchJob> jobs;
-    for (std::size_t i : misses) {
-        bool shared = traceUses[traceKey(i)] > 1;
+    for (std::vector<std::size_t> &slots : slotsOf) {
+        // Read the first slot before the capture list moves `slots`:
+        // closure members initialize in an unspecified order.
+        std::size_t first = slots.front();
+        bool shared = traceUses[traceKey(first)] > 1;
         DispatchJob job;
         job.priority = request.priority;
-        job.run = [this, &latch, &results, i, shared,
-                   spec = cells[i]]() {
+        job.run = [this, &latch, &results, shared, spec = cells[first],
+                   slots = std::move(slots)]() {
             auto ptr = std::make_shared<const SimResults>(
                 simulateCell(spec, shared, tlsWorkerIndex));
             store_.insert(keyOf(spec), ptr);
             std::lock_guard<std::mutex> lock(latch.mutex);
-            results[i] = std::move(ptr);
+            for (std::size_t i : slots)
+                results[i] = ptr;
             if (--latch.remaining == 0)
                 latch.done.notify_all();
         };

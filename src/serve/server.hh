@@ -18,12 +18,13 @@
  * all-or-nothing batch. If the bounded queue cannot take the batch
  * the client gets RETRY_AFTER with a backoff hint — the daemon never
  * queues unboundedly and never drops a request on the floor
- * silently. Workers simulate each cell and publish it into the
+ * silently. Workers simulate each distinct miss cell once, fill
+ * every slot of the request that holds it, and publish it into the
  * ResultStore. A miss whose trace (benchmark, seed, length) another
- * miss of the same request also replays goes through the grid
- * cache's materialized traces; every other miss streams straight
- * from its generator and leaves nothing cached. Served cells never
- * use warm checkpoints.
+ * distinct miss of the same request also replays goes through the
+ * grid cache's materialized traces; every other miss streams
+ * straight from its generator and leaves nothing cached. Served
+ * cells never use warm checkpoints.
  *
  * Thread-safety contract: connection bookkeeping sits behind
  * mutex_; cross-thread sweep completion uses a per-request latch;

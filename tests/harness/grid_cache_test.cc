@@ -12,6 +12,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/figures.hh"
+#include "util/thread_pool.hh"
 #include "workloads/spec92.hh"
 
 namespace wbsim
@@ -99,28 +100,78 @@ TEST(GridCache, DeterministicAcrossThreadCountsWithAndWithoutReuse)
 
 TEST(GridCache, TracesBuildOncePerBenchmarkAndCheckpointsOncePerCell)
 {
-    clearGridCaches();
     Experiment exp = figures::figure11();
     auto profiles = twoProfiles();
     const std::size_t cells = profiles.size() * exp.variants.size();
 
+    // The footprint of the traces alone.
+    clearGridCaches();
+    runExperiment(exp, profiles, tinyOptions(4, true, false));
+    const std::size_t traceBytes = gridCacheStats().cachedBytes;
+
+    clearGridCaches();
     RunnerOptions options = tinyOptions(4, true, true);
     runExperiment(exp, profiles, options);
     GridCacheStats first = gridCacheStats();
-    // One trace per benchmark, shared by every variant; one
-    // checkpoint per cell (figure 11 varies l2Latency, which is
-    // warm-state-affecting, so no two variants share one).
+    // One trace per benchmark, shared by every variant. Every cell
+    // simulates its own warmup (figure 11 varies l2Latency, which is
+    // warm-state-affecting, so no two variants share a checkpoint
+    // key), and a first lookup stores no snapshot: only the
+    // doorkeeper's key hashes join the traces.
     EXPECT_EQ(first.traceBuilds, profiles.size());
     EXPECT_EQ(first.traceHits + first.traceBuilds, cells);
     EXPECT_EQ(first.checkpointBuilds, cells);
     EXPECT_EQ(first.checkpointHits, 0u);
+    EXPECT_EQ(first.checkpointStores, 0u);
+    EXPECT_GT(first.doorkeeperBytes, 0u);
+    EXPECT_EQ(first.cachedBytes, traceBytes + first.doorkeeperBytes);
 
-    // An identical second sweep touches no builder at all.
+    // The second identical sweep reuses every trace, simulates every
+    // warmup once more, and stores one snapshot per cell.
     runExperiment(exp, profiles, options);
     GridCacheStats second = gridCacheStats();
     EXPECT_EQ(second.traceBuilds, first.traceBuilds);
-    EXPECT_EQ(second.checkpointBuilds, first.checkpointBuilds);
-    EXPECT_EQ(second.checkpointHits, cells);
+    EXPECT_EQ(second.checkpointBuilds, 2 * cells);
+    EXPECT_EQ(second.checkpointHits, 0u);
+    EXPECT_EQ(second.checkpointStores, cells);
+    EXPECT_EQ(second.doorkeeperBytes, first.doorkeeperBytes);
+    EXPECT_GT(second.cachedBytes, first.cachedBytes);
+
+    // The third touches no builder at all: every cell restores.
+    runExperiment(exp, profiles, options);
+    GridCacheStats third = gridCacheStats();
+    EXPECT_EQ(third.traceBuilds, first.traceBuilds);
+    EXPECT_EQ(third.checkpointBuilds, second.checkpointBuilds);
+    EXPECT_EQ(third.checkpointHits, cells);
+    EXPECT_EQ(third.checkpointStores, cells);
+    EXPECT_EQ(third.cachedBytes, second.cachedBytes);
+}
+
+TEST(GridCache, RepeatedSweepsMatchTheReferenceAtEveryCheckpointStage)
+{
+    Experiment exp = figures::figure11();
+    auto profiles = twoProfiles();
+    const std::size_t cells = profiles.size() * exp.variants.size();
+    ExperimentResults expected =
+        referenceGrid(exp, profiles, tinyOptions(1, true, true));
+    for (unsigned threads : {1u, 8u}) {
+        for (bool checkpoints : {false, true}) {
+            clearGridCaches();
+            RunnerOptions options =
+                tinyOptions(threads, true, checkpoints);
+            // Sweep 1 warms up in place, sweep 2 also stores the
+            // snapshots, sweep 3 restores them.
+            for (int sweep = 1; sweep <= 3; ++sweep)
+                ASSERT_EQ(runExperiment(exp, profiles, options),
+                          expected)
+                    << "threads=" << threads
+                    << " checkpoints=" << checkpoints
+                    << " sweep=" << sweep;
+            EXPECT_EQ(gridCacheStats().checkpointHits,
+                      checkpoints ? cells : 0u)
+                << "threads=" << threads;
+        }
+    }
 }
 
 TEST(GridCache, ReplicatedRunsUseDistinctSeedsThroughTheCache)
@@ -143,6 +194,30 @@ TEST(GridCache, ReplicatedRunsUseDistinctSeedsThroughTheCache)
                    options.seed + i, options.warmup);
         EXPECT_EQ(runs[i], reference) << "replica " << i;
     }
+}
+
+TEST(GridCache, ConcurrentSecondLookupsStoreOneSnapshot)
+{
+    clearGridCaches();
+    BenchmarkProfile profile = spec92::profile("li");
+    MachineConfig machine;
+    RunnerOptions options = tinyOptions(1, true, true);
+    SimResults scratch = runOne(profile, machine, options.instructions,
+                                options.seed, options.warmup);
+    ASSERT_EQ(runOne(profile, machine, options, options.seed), scratch);
+
+    // Eight concurrent lookups after the first: one claims the key and
+    // stores its snapshot, the other seven wait for it and restore.
+    std::vector<SimResults> runs(8);
+    parallelFor(runs.size(), 8, [&](std::size_t i) {
+        runs[i] = runOne(profile, machine, options, options.seed);
+    });
+    for (const SimResults &run : runs)
+        EXPECT_EQ(run, scratch);
+    GridCacheStats stats = gridCacheStats();
+    EXPECT_EQ(stats.checkpointBuilds, 2u);
+    EXPECT_EQ(stats.checkpointHits, 7u);
+    EXPECT_EQ(stats.checkpointStores, 1u);
 }
 
 /**
@@ -178,15 +253,20 @@ TEST(GridCacheFuzz, ForkResumedMatchesFromScratchAcrossVariants)
 
     for (std::uint64_t seed : {1ull, 33ull}) {
         for (std::size_t v = 0; v < variants.size(); ++v) {
-            SimResults cached =
-                runOne(profile, variants[v], options, seed);
             SimResults scratch =
                 runOne(profile, variants[v], options.instructions,
                        seed, options.warmup);
-            ASSERT_EQ(cached, scratch)
-                << "variant " << v << " seed " << seed;
+            // The first two lookups warm up in place (the second
+            // stores the snapshot); the third fork-resumes.
+            for (int lookup = 1; lookup <= 3; ++lookup)
+                ASSERT_EQ(runOne(profile, variants[v], options, seed),
+                          scratch)
+                    << "variant " << v << " seed " << seed
+                    << " lookup " << lookup;
         }
     }
+    // One restore per (seed, variant).
+    EXPECT_EQ(gridCacheStats().checkpointHits, 2 * variants.size());
 }
 
 TEST(GridCacheBudget, EvictsLruUnderByteBudgetAndStaysCorrect)
@@ -197,23 +277,29 @@ TEST(GridCacheBudget, EvictsLruUnderByteBudgetAndStaysCorrect)
     MachineConfig machine;
     RunnerOptions options = tinyOptions(1, true, true);
 
-    // Populate 3 distinct (seed -> trace) entries and measure.
-    for (std::uint64_t seed = 1; seed <= 3; ++seed)
-        runOne(profile, machine, options, seed);
+    // Populate 3 distinct seeds, each with its trace and (after a
+    // second sweep) its checkpoint, and measure.
+    auto twoSweeps = [&]() {
+        for (int sweep = 0; sweep < 2; ++sweep)
+            for (std::uint64_t seed = 1; seed <= 3; ++seed)
+                runOne(profile, machine, options, seed);
+    };
+    twoSweeps();
     GridCacheStats unbounded = gridCacheStats();
     EXPECT_EQ(unbounded.traceBuilds, 3u);
+    EXPECT_EQ(unbounded.checkpointStores, 3u);
     EXPECT_EQ(unbounded.traceEvictions, 0u);
     EXPECT_EQ(unbounded.budgetBytes, 0u);
     ASSERT_GT(unbounded.cachedBytes, 0u);
 
-    // A budget of roughly one entry forces LRU eviction on refill.
+    // A budget of roughly one seed's entries forces LRU eviction on
+    // refill.
     clearGridCaches();
     setGridCacheByteBudget(unbounded.cachedBytes / 3);
-    for (std::uint64_t seed = 1; seed <= 3; ++seed)
-        runOne(profile, machine, options, seed);
+    twoSweeps();
     GridCacheStats bounded = gridCacheStats();
-    EXPECT_GT(bounded.traceEvictions + bounded.checkpointEvictions,
-              0u);
+    EXPECT_GT(bounded.checkpointStores, 0u);
+    EXPECT_GT(bounded.checkpointEvictions, 0u);
     EXPECT_LE(bounded.cachedBytes, bounded.budgetBytes);
     EXPECT_EQ(bounded.budgetBytes, unbounded.cachedBytes / 3);
 
@@ -236,16 +322,22 @@ TEST(GridCacheBudget, ShrinkingTheBudgetEvictsImmediately)
     BenchmarkProfile profile = spec92::profile("li");
     MachineConfig machine;
     RunnerOptions options = tinyOptions(1, true, true);
-    for (std::uint64_t seed = 1; seed <= 2; ++seed)
-        runOne(profile, machine, options, seed);
+    // Two sweeps, so the second stores each seed's checkpoint.
+    for (int sweep = 0; sweep < 2; ++sweep)
+        for (std::uint64_t seed = 1; seed <= 2; ++seed)
+            runOne(profile, machine, options, seed);
     GridCacheStats before = gridCacheStats();
     ASSERT_GT(before.cachedBytes, 0u);
+    ASSERT_EQ(before.checkpointStores, 2u);
 
-    // Setting a budget below residency evicts on the spot.
+    // Setting a budget below residency evicts on the spot, down to
+    // the doorkeeper.
     setGridCacheByteBudget(1);
     GridCacheStats after = gridCacheStats();
     EXPECT_LE(after.cachedBytes, 1u);
-    EXPECT_GT(after.traceEvictions + after.checkpointEvictions, 0u);
+    EXPECT_EQ(after.traceEvictions, 2u);
+    EXPECT_EQ(after.checkpointEvictions, 2u);
+    EXPECT_EQ(after.doorkeeperBytes, 0u);
 
     setGridCacheByteBudget(0);
     clearGridCaches();

@@ -252,6 +252,28 @@ TEST(Loopback, CellsSharingATraceBuildItOnceAndNeverCheckpoint)
     EXPECT_EQ(0u, stats.checkpointHits);
 }
 
+TEST(Loopback, RepeatedCellInOneRequestSimulatesOnce)
+{
+    ServerFixture fixture;
+    ServeClient client = fixture.client();
+    CellSpec cell = cellFor("compress", figures::baselineMachine());
+    Response response;
+    std::string error;
+    ASSERT_TRUE(client.sweep({cell, cell, cell}, 0, response, error))
+        << error;
+    ASSERT_EQ(ResponseType::Results, response.type) << response.error;
+    ASSERT_EQ(3u, response.cells.size());
+    std::string expected = localRender(cell);
+    for (const CellResult &served : response.cells) {
+        EXPECT_FALSE(served.cacheHit);
+        EXPECT_EQ(expected, served.resultJson);
+    }
+    // Three store misses, one simulation: one queued job, one insert.
+    EXPECT_EQ(3u, fixture.server.storeStats().misses);
+    EXPECT_EQ(1u, fixture.server.storeStats().inserts);
+    EXPECT_EQ(1u, fixture.server.queueStats().pushed);
+}
+
 TEST(Loopback, RejectsInvalidSweeps)
 {
     ServeConfig config;
